@@ -24,7 +24,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import entanglement, estimator, vonneumann, weakvalues
+from . import entanglement, estimator, weakvalues
 from . import scenario as scenario_mod
 from .errors import ScenarioError, WeakmeasError
 from .scenario import Scenario
@@ -133,10 +133,7 @@ def _diagnostics_doc(sc: Scenario) -> dict:
     doc = _report_doc(sc)
     # the Schmidt cut targets the state right after the A coupling, which
     # is where the non-separability claim lives
-    after_a = vonneumann.initial_state(sc.i_vector, [sc.grid_a()])
-    after_a = vonneumann.evolve_exact(
-        after_a, vonneumann.CouplingSpec(sc.a_matrix, sc.ga_ta, pointer_axis=0)
-    )
+    after_a = estimator.after_a_coupling(sc)
     doc["product_check"] = {
         name: _separability_doc(entanglement.product_check(after_a, name))
         for name in ("system", "axis0")

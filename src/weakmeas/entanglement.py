@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError
-from .vonneumann import JointState, mean_pointer, position_correlation
+from .vonneumann import FactoredState, State, mean_pointer, position_correlation
 
 PRODUCT_TOLERANCE = 1e-10
 CORRELATION_TOLERANCE = 1e-8
@@ -38,7 +38,9 @@ class SeparabilityReport:
     correlation_gap: Optional[float] = None
 
 
-def _cut_matrix(s: JointState, bipartition: str) -> np.ndarray:
+def _cut_matrix(s: State, bipartition: str) -> np.ndarray:
+    if isinstance(s, FactoredState):
+        s = s.to_joint()
     amps = s.amplitudes
     axes = len(s.pointers)
     if bipartition == "system":
@@ -56,7 +58,7 @@ def _cut_matrix(s: JointState, bipartition: str) -> np.ndarray:
     )
 
 
-def product_check(s: JointState, bipartition: str = "system") -> SeparabilityReport:
+def product_check(s: State, bipartition: str = "system") -> SeparabilityReport:
     """Schmidt test of one cut: product iff a single singular value survives."""
     matrix = _cut_matrix(s, bipartition)
     values = np.linalg.svd(matrix, compute_uv=False)
@@ -73,7 +75,7 @@ def product_check(s: JointState, bipartition: str = "system") -> SeparabilityRep
     )
 
 
-def correlation_witness(s: JointState) -> SeparabilityReport:
+def correlation_witness(s: State) -> SeparabilityReport:
     """Gap |<x_A x_F> - mean_A * mean_F| between the two device axes.
 
     Zero for every product of device states.  A nonzero gap also arises

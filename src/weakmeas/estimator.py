@@ -123,19 +123,27 @@ def _run_chunks(worker, start: int, n: int, threads: int):
     )
 
 
-def coupled_state(sc: Scenario) -> vonneumann.JointState:
-    """Initial product state taken through both couplings, A first."""
-    state = vonneumann.initial_state(sc.i_vector, [sc.grid_a(), sc.grid_f()])
-    state = vonneumann.evolve_exact(
+def after_a_coupling(sc: Scenario) -> vonneumann.JointState:
+    """System and device A right after the A coupling, a one-device state."""
+    state = vonneumann.initial_state(sc.i_vector, [sc.grid_a()])
+    return vonneumann.evolve_exact(
         state, vonneumann.CouplingSpec(sc.a_matrix, sc.ga_ta, pointer_axis=0)
     )
+
+
+def coupled_state(sc: Scenario) -> vonneumann.FactoredState:
+    """Initial product state taken through both couplings, A first.
+
+    Device F is attached per eigenbranch of |F><F|, so the result stays
+    factored and the d x n_A x n_F tensor is never formed.
+    """
     fhat = qmath.projector(qmath.ket(sc.f_vector))
-    return vonneumann.evolve_exact(
-        state, vonneumann.CouplingSpec(fhat, sc.gf_tf, pointer_axis=1)
+    return vonneumann.attach_exact(
+        after_a_coupling(sc), sc.grid_f(), vonneumann.CouplingSpec(fhat, sc.gf_tf, pointer_axis=1)
     )
 
 
-def _readout_axis(sc: Scenario, state: vonneumann.JointState):
+def _readout_axis(sc: Scenario, state: vonneumann.FactoredState):
     """Density over (device-A readout, x_F) plus the two value grids."""
     grid_a = state.pointers[0]
     grid_f = state.pointers[1]
@@ -187,17 +195,6 @@ def sample_records(sc: Scenario, n: int, seed=None, threads: int = 1, start: int
     return _run_chunks(worker, start, n, threads)
 
 
-def _momentum_density_1d(amps: np.ndarray, grid: pointer.PointerGrid) -> np.ndarray:
-    # same spectral convention as the PointerGrid transform, applied along
-    # the last axis of a raw (possibly system-resolved) amplitude block
-    n = grid.n_points
-    phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    ft = np.fft.fft(amps, axis=-1) * phase
-    ft *= grid.dx / np.sqrt(2 * np.pi * grid.hbar)
-    ft = np.fft.fftshift(ft, axes=-1)
-    return np.sum(np.abs(ft) ** 2, axis=tuple(range(ft.ndim - 1)))
-
-
 def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int = 0) -> RecordBatch:
     """Born-rule cross-check: project the system onto F after the A coupling.
 
@@ -207,11 +204,8 @@ def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int =
     """
     if seed is None:
         seed = sc.run.seed
-    grid_a = sc.grid_a()
-    state = vonneumann.initial_state(sc.i_vector, [grid_a])
-    state = vonneumann.evolve_exact(
-        state, vonneumann.CouplingSpec(sc.a_matrix, sc.ga_ta, pointer_axis=0)
-    )
+    state = after_a_coupling(sc)
+    grid_a = state.pointers[0]
     f_vec = qmath.normalize(qmath.ket(sc.f_vector))
     amps = state.amplitudes
     sel_amps = np.tensordot(np.conj(f_vec), amps, axes=(0, 0))
@@ -221,8 +215,9 @@ def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int =
     if sc.run.readout == "momentum":
         vals_a = pointer.momentum_values(grid_a)
         step_a = float(vals_a[1] - vals_a[0])
-        sel_density = _momentum_density_1d(sel_amps[None, :], grid_a)
-        unsel_density = _momentum_density_1d(unsel_amps, grid_a)
+        sel_density = np.abs(pointer.momentum_amplitudes(sel_amps, grid_a)) ** 2
+        unsel_ft = pointer.momentum_amplitudes(unsel_amps, grid_a)
+        unsel_density = np.sum(np.abs(unsel_ft) ** 2, axis=0)
     else:
         vals_a = grid_a.positions
         step_a = grid_a.dx
@@ -259,6 +254,13 @@ def _columns(records) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xa, xf, sel
 
 
+def _readout_prefactor(sc: Scenario) -> float:
+    """Factor taking the selected device-A mean to the weak-value part it reads."""
+    if sc.run.readout == "momentum":
+        return 2.0 * sc.pointer_a.sigma**2 / (sc.hbar * sc.ga_ta * sc.gf_tf)
+    return 1.0 / sc.ga_ta
+
+
 def summarize(records, sc: Scenario) -> RunSummary:
     """Reduce records to the post-selected estimate and its bookkeeping.
 
@@ -276,10 +278,7 @@ def summarize(records, sc: Scenario) -> RunSummary:
     binary = sel.astype(float)
     mean_all_af = float(np.mean(xa * binary))
     mean_selected_a = float(np.mean(xa[sel]))
-    if sc.run.readout == "momentum":
-        prefactor = 2.0 * sc.pointer_a.sigma**2 / (sc.hbar * sc.ga_ta * sc.gf_tf)
-    else:
-        prefactor = 1.0 / sc.ga_ta
+    prefactor = _readout_prefactor(sc)
     if n_selected >= 2:
         spread = float(np.std(xa[sel], ddof=1)) / np.sqrt(n_selected)
         std_error = abs(prefactor) * spread
@@ -348,10 +347,7 @@ def exact_moments(sc: Scenario) -> dict:
     if mass <= 0:
         raise EmptyPostSelectionError("post-selection region carries no probability mass")
     selected_mean = float((cell.sum(axis=1) * vals_a).sum() / mass)
-    if sc.run.readout == "momentum":
-        prefactor = 2.0 * sc.pointer_a.sigma**2 / (sc.hbar * sc.ga_ta * sc.gf_tf)
-    else:
-        prefactor = 1.0 / sc.ga_ta
+    prefactor = _readout_prefactor(sc)
     return {
         "mean_A": mean_a,
         "mean_F": mean_f,

@@ -135,25 +135,34 @@ def shift(p: PointerGrid, delta: float) -> PointerGrid:
     return PointerGrid(p.n_points, p.extent, p.sigma, p.hbar, shifted)
 
 
+def momentum_amplitudes(amps: np.ndarray, p: PointerGrid, axis: int = -1) -> np.ndarray:
+    """Momentum-representation samples of amps along one axis, momenta ascending.
+
+    amps holds position samples on p's grid along `axis` and anything
+    (system index, branch index, a second device) along the others.
+    psi~(p) = (2 pi hbar)^(-1/2) integral psi(x) exp(-i p x / hbar) dx is
+    evaluated by the FFT and reordered to match momentum_values(p).
+    """
+    shape = [1] * amps.ndim
+    shape[axis] = p.n_points
+    # the grid starts at -extent/2, which contributes an alternating phase
+    # relative to the index-0-based FFT sum
+    phase = np.where(np.arange(p.n_points) % 2 == 0, 1.0, -1.0).reshape(shape)
+    ft = np.fft.fft(amps, axis=axis) * phase
+    ft *= p.dx / np.sqrt(2 * np.pi * p.hbar)
+    return np.fft.fftshift(ft, axes=axis)
+
+
 def to_momentum(p: PointerGrid) -> MomentumGrid:
     """Momentum representation of the pointer, spacing dp = 2 pi hbar / extent.
 
-    Returns samples of psi~(p) = (2 pi hbar)^(-1/2) integral psi(x)
-    exp(-i p x / hbar) dx evaluated by the FFT, reordered so momenta
-    ascend.  Parseval holds on the grid: sum |psi~|^2 dp = 1.
+    Parseval holds on the grid: sum |psi~|^2 dp = 1.
     """
-    n = p.n_points
-    momenta = fft_momenta(n, p.extent, p.hbar)
-    # the grid starts at -extent/2, which contributes an alternating phase
-    # relative to the index-0-based FFT sum
-    phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    amps = np.fft.fft(p.amplitudes) * phase * (p.dx / np.sqrt(2 * np.pi * p.hbar))
-    order = np.fft.fftshift(np.arange(n))
     return MomentumGrid(
-        momenta=momenta[order],
+        momenta=momentum_values(p),
         dp=2 * np.pi * p.hbar / p.extent,
         hbar=p.hbar,
-        amplitudes=amps[order],
+        amplitudes=momentum_amplitudes(p.amplitudes, p),
     )
 
 

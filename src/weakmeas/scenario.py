@@ -76,12 +76,21 @@ class Scenario:
         )
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which subclasses int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         re, im = value
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
+        if _is_real(re) and _is_real(im):
             return complex(re, im)
     raise ScenarioError(f"{where}: expected a real number or [re, im] pair, got {value!r}")
 
@@ -108,7 +117,7 @@ def _require(raw: dict, key: str):
 
 
 def _positive_real(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+    if not _is_real(value) or not math.isfinite(value) or value <= 0:
         raise ScenarioError(f"{where}: expected a positive finite number, got {value!r}")
     return float(value)
 
@@ -118,7 +127,7 @@ def _parse_pointer(raw, where: str) -> PointerSettings:
         raise ScenarioError(f"{where}: expected an object with sigma, n_points, extent")
     sigma = _positive_real(_require_sub(raw, "sigma", where), f"{where}.sigma")
     n_points = _require_sub(raw, "n_points", where)
-    if not isinstance(n_points, int) or n_points < 2 or n_points & (n_points - 1):
+    if not _is_int(n_points) or n_points < 2 or n_points & (n_points - 1):
         raise ScenarioError(f"{where}.n_points: expected a power of two >= 2, got {n_points!r}")
     extent = _positive_real(_require_sub(raw, "extent", where), f"{where}.extent")
     return PointerSettings(sigma=sigma, n_points=n_points, extent=extent)
@@ -139,13 +148,13 @@ def _parse_run(raw, gf_tf: float) -> RunSettings:
     if readout not in READOUTS:
         raise ScenarioError(f"run.readout: expected one of {READOUTS}, got {readout!r}")
     samples = raw.pop("samples", 100000)
-    if not isinstance(samples, int) or samples < 0:
+    if not _is_int(samples) or samples < 0:
         raise ScenarioError(f"run.samples: expected a nonnegative integer, got {samples!r}")
     seed = raw.pop("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if not _is_int(seed) or not 0 <= seed < 2**64:
         raise ScenarioError(f"run.seed: expected a 64-bit unsigned integer, got {seed!r}")
     threshold = raw.pop("threshold", 0.5 * gf_tf)
-    if not isinstance(threshold, (int, float)) or not math.isfinite(threshold):
+    if not _is_real(threshold) or not math.isfinite(threshold):
         raise ScenarioError(f"run.threshold: expected a finite number, got {threshold!r}")
     if raw:
         raise ScenarioError(f"run: unknown fields {sorted(raw)}")
@@ -157,6 +166,14 @@ def _parse_run(raw, gf_tf: float) -> RunSettings:
 def validate(sc: Scenario) -> Scenario:
     """Field-by-field checks; raises a field-naming error on the first defect."""
     a = qmath.operator(sc.a_matrix)
+    for name, entries in (("A_matrix", a), ("I_vector", sc.i_vector), ("F_vector", sc.f_vector)):
+        # NaN slips through every tolerance comparison below, so reject it first
+        if not np.all(np.isfinite(np.asarray(entries, dtype=complex))):
+            raise ScenarioError(f"{name}: entries must be finite")
+    for name, strength in (("gA_tA", sc.ga_ta), ("gF_tF", sc.gf_tf)):
+        # both readout prefactors divide by the coupling strengths
+        if not math.isfinite(strength) or strength == 0:
+            raise ScenarioError(f"{name}: expected a nonzero finite coupling, got {strength!r}")
     if a.shape[0] != sc.system_dim:
         raise ScenarioError(
             f"A_matrix: dimension {a.shape[0]} disagrees with system_dim {sc.system_dim}"
@@ -177,6 +194,8 @@ def validate(sc: Scenario) -> Scenario:
         ("A", sc.ga_ta, "pointer_A", sc.pointer_a),
         ("F", sc.gf_tf, "pointer_F", sc.pointer_f),
     ):
+        # sweeps replace sigma after parsing, so a NaN can reach this point
+        _positive_real(ps.sigma, f"{pname}.sigma")
         if ps.extent < MIN_EXTENT_SIGMAS * ps.sigma:
             raise GridExtentError(
                 f"{pname}.extent: {ps.extent} is below {MIN_EXTENT_SIGMAS} sigma"
@@ -199,13 +218,13 @@ def from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
     system_dim = _require(raw, "system_dim")
-    if not isinstance(system_dim, int) or system_dim < 2:
+    if not _is_int(system_dim) or system_dim < 2:
         raise ScenarioError(f"system_dim: expected an integer >= 2, got {system_dim!r}")
     gf_tf = _require(raw, "gF_tF")
-    if not isinstance(gf_tf, (int, float)) or not math.isfinite(gf_tf):
+    if not _is_real(gf_tf) or not math.isfinite(gf_tf):
         raise ScenarioError(f"gF_tF: expected a finite number, got {gf_tf!r}")
     ga_ta = _require(raw, "gA_tA")
-    if not isinstance(ga_ta, (int, float)) or not math.isfinite(ga_ta):
+    if not _is_real(ga_ta) or not math.isfinite(ga_ta):
         raise ScenarioError(f"gA_tA: expected a finite number, got {ga_ta!r}")
     sc = Scenario(
         system_dim=system_dim,

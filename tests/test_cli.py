@@ -1,5 +1,7 @@
 """End-to-end CLI checks: exit codes, canonical output, determinism."""
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -316,6 +318,94 @@ class TestExitCodes:
 
     def test_no_command_is_usage_error(self, capsys):
         assert cli.main([]) == 2
+
+
+class TestMalformedInputs:
+    """Each malformed field ends in exit 2 with the field named on stderr."""
+
+    EDITS = {
+        "gA_tA": lambda raw: raw.update({"gA_tA": 0}),
+        "gF_tF": lambda raw: raw.update({"gF_tF": 0.0}),
+        "A_matrix": lambda raw: raw["A_matrix"][0][0].__setitem__(0, math.nan),
+        "system_dim": lambda raw: raw.update({"system_dim": True}),
+        "pointer_A.n_points": lambda raw: raw["pointer_A"].update({"n_points": True}),
+        "run.samples": lambda raw: raw["run"].update({"samples": True}),
+        "run.seed": lambda raw: raw["run"].update({"seed": True}),
+    }
+
+    @pytest.mark.parametrize("field", sorted(EDITS))
+    def test_exit_two_names_field(self, tmp_path, raw, capsys, field):
+        raw["run"].update(mode="exact-moments", readout="momentum", samples=1000)
+        self.EDITS[field](raw)
+        code = cli.main(["run", "--config", dump(tmp_path, raw)])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param, bad, field", [
+        ("gA_tA", "0", "gA_tA"),
+        ("gA_tA", "nan", "gA_tA"),
+        ("sigma_F", "nan", "pointer_F.sigma"),
+    ])
+    def test_bad_sweep_point(self, tmp_path, raw, capsys, param, bad, field):
+        raw["run"]["mode"] = "exact-moments"
+        out_path = tmp_path / "s.csv"
+        argv = ["sweep", "--config", dump(tmp_path, raw), "--param", param,
+                "--values", "0.05," + bad, "--out", str(out_path)]
+        assert cli.main(argv) == 2
+        assert field in capsys.readouterr().err
+        assert not out_path.exists()
+
+
+# sha256 of the `run` document and of its --dump-records file at 50,000
+# samples, recorded from the dense two-device engine; the factored engine
+# must reproduce every draw
+PINNED_SHA256 = {
+    ("qubit-theta30", "position", "sample-pointer"): (
+        "5dfe0c824c3dacaab23bd019d0728e5a8e198f8894279e87eb8bb48548164f5b",
+        "900a7685ac3246ebf12ec33b18e1798f9ee7c94910fc62167f95abd7b07560e5",
+    ),
+    ("qubit-theta30", "momentum", "sample-pointer"): (
+        "edede8076e4bea4b889c9b94ad190a1974e2891ce657cf808887ace062ce0863",
+        "6f35ce4bc80aac6c71e4d56323a0ec469bc9fa7b2c906ded1478f1506777c794",
+    ),
+    ("imaginary-sigma-x", "position", "sample-pointer"): (
+        "dda198808671d721db8bceaacf46433050dcb722c64f4d26adb99ebc5dfba77f",
+        "646053013f07177cdea72c0e49c8ffbdb385da091b53313fb05c1517381073b0",
+    ),
+    ("imaginary-sigma-x", "momentum", "sample-pointer"): (
+        "463874f6cdd1e0a8e666ac56432a9035d18d1cd134bf0c8fa210a2310acaa91f",
+        "76037d15588c4b2fec4077beb4901224921056c62fdf152b5139752a6a989e4d",
+    ),
+    ("qubit-theta30", "position", "sample-ideal"): (
+        "81620935696a9db8c3eeff61528403b37ac6d236761c59fd95fab15466135022",
+        "151c36c70a6a73b048a4626ca374dabecef9c498eb47234d62a190d1e0ec43a1",
+    ),
+    ("qubit-theta30", "momentum", "sample-ideal"): (
+        "3185004d04e69b18a550260fcefa0d8b8f72c2e80b455a2fda8b43ed10147b8a",
+        "829b001b1522e1dd7300b3b9b268fd9a70f9dba036ab405921125d2cbc3932b2",
+    ),
+    ("imaginary-sigma-x", "position", "sample-ideal"): (
+        "8cbba4bc3f96730151e3641b3880afc4719e22d35ac8666acf6dc3fe3782423f",
+        "e6c9fd8a2005b3e1818a0ddbffa02aed30c6d957cbc39c2fd9d753a50569accb",
+    ),
+    ("imaginary-sigma-x", "momentum", "sample-ideal"): (
+        "5bf3c3fb0bbc1f885970c274da7b9b00dc36569ea6c5a0bc725bff0c9714a3b4",
+        "74818da1471cd13918ddb92175e280bf208c05d88700af910a5204b0f5561d8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SHA256), ids="-".join)
+def test_sampling_bytes_pinned(tmp_path, case):
+    name, readout, mode = case
+    raw = scenario.to_dict(scenario.preset(name))
+    raw["run"].update(mode=mode, readout=readout, samples=50000)
+    doc_path, rec_path = tmp_path / "doc.json", tmp_path / "rec.csv"
+    argv = ["run", "--config", dump(tmp_path, raw), "--out", str(doc_path),
+            "--dump-records", str(rec_path)]
+    assert cli.main(argv) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (doc_path, rec_path))
+    assert digests == PINNED_SHA256[case]
 
 
 class TestPresetsCommand:

@@ -143,6 +143,38 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="walkers"):
             scenario.from_dict(raw)
 
+    def test_zero_couplings_named(self):
+        for key in ("gA_tA", "gF_tF"):
+            raw = base_dict()
+            raw[key] = 0.0
+            with pytest.raises(ScenarioError, match=key):
+                scenario.from_dict(raw)
+
+    def test_non_finite_entries_named(self):
+        for key in ("A_matrix", "I_vector", "F_vector"):
+            raw = base_dict()
+            entries = raw[key][0] if key == "A_matrix" else raw[key]
+            entries[0] = [float("nan"), 0.0]
+            with pytest.raises(ScenarioError, match=key):
+                scenario.from_dict(raw)
+
+    def test_booleans_are_not_numbers(self):
+        for path in (
+            ("system_dim",),
+            ("pointer_F", "n_points"),
+            ("pointer_A", "sigma"),
+            ("run", "samples"),
+            ("run", "seed"),
+            ("gA_tA",),
+        ):
+            raw = base_dict()
+            target = raw
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = True
+            with pytest.raises(ScenarioError, match=path[-1]):
+                scenario.from_dict(raw)
+
     def test_n_points_power_of_two(self):
         raw = base_dict()
         raw["pointer_F"]["n_points"] = 1000

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from weakmeas import pointer, qmath, vonneumann
+from weakmeas import entanglement, estimator, pointer, qmath, scenario, vonneumann
 from weakmeas.errors import (
     DimensionError,
     GridExtentError,
@@ -260,3 +260,138 @@ class TestMomentsAndOrder:
         # branch algebra gives 0.125*g*g_F instead of 0.5*g*g_F
         assert abs(forward - reverse) > 0.01
         assert reverse / G_A == pytest.approx(0.125, abs=1e-6)
+
+
+def dense_reference(i_vec, grids, first, second):
+    """Two-axis initial_state taken through two evolve_exact calls."""
+    s = vonneumann.initial_state(i_vec, list(grids))
+    s = vonneumann.evolve_exact(s, first)
+    return vonneumann.evolve_exact(s, second)
+
+
+def qutrit_pair():
+    # random Hermitian A, and a non-projector second observable with three
+    # distinct eigenvalues, so the factored state carries three branches
+    rng = np.random.default_rng(31)
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    a = (m + m.conj().T) / 4
+    b = np.diag([0.8, -0.3, 0.1]).astype(complex)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    ini = rng.normal(size=3) + 1j * rng.normal(size=3)
+    return a, q @ b @ q.conj().T, ini / np.linalg.norm(ini)
+
+
+@pytest.fixture(scope="module", params=["qubit-theta30", "imaginary-sigma-x", "qutrit"])
+def pair(request):
+    """(factored state, dense reference) for one scenario."""
+    if request.param == "qutrit":
+        a, b, ini = qutrit_pair()
+        grids = (a_pointer(), f_pointer())
+        first = vonneumann.CouplingSpec(a, 0.2, 0)
+        second = vonneumann.CouplingSpec(b, 0.9, 1)
+        after_a = vonneumann.evolve_exact(vonneumann.initial_state(ini, grids[:1]), first)
+        factored = vonneumann.attach_exact(after_a, grids[1], second)
+        return factored, dense_reference(ini, grids, first, second)
+    sc = scenario.preset(request.param)
+    dense = dense_reference(
+        sc.i_vector,
+        (sc.grid_a(), sc.grid_f()),
+        vonneumann.CouplingSpec(sc.a_matrix, sc.ga_ta, 0),
+        vonneumann.CouplingSpec(qmath.projector(sc.f_vector), sc.gf_tf, 1),
+    )
+    return estimator.coupled_state(sc), dense
+
+
+class TestFactoredMatchesDense:
+    def test_position_density(self, pair):
+        factored, dense = pair
+        got = vonneumann.device_density(factored)
+        assert np.max(np.abs(got - vonneumann.device_density(dense))) <= 1e-12
+
+    def test_momentum_density(self, pair):
+        factored, dense = pair
+        got = vonneumann.device_momentum_density(factored)
+        assert np.max(np.abs(got - vonneumann.device_momentum_density(dense))) <= 1e-12
+
+    def test_moments(self, pair):
+        factored, dense = pair
+        for axis in (0, 1):
+            got = vonneumann.mean_pointer(factored, axis)
+            assert got == pytest.approx(vonneumann.mean_pointer(dense, axis), abs=1e-12)
+        got = vonneumann.position_correlation(factored)
+        assert got == pytest.approx(vonneumann.position_correlation(dense), abs=1e-12)
+        assert vonneumann.total_norm(factored) == pytest.approx(1.0, abs=1e-10)
+
+    def test_expands_to_dense_amplitudes(self, pair):
+        factored, dense = pair
+        assert np.max(np.abs(factored.to_joint().amplitudes - dense.amplitudes)) <= 1e-12
+
+    def test_system_cut(self, pair):
+        factored, dense = pair
+        got = entanglement.product_check(factored, "system").singular_values
+        want = entanglement.product_check(dense, "system").singular_values
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_never_holds_the_joint_tensor(self, pair):
+        factored, dense = pair
+        assert not hasattr(factored, "amplitudes")
+        assert factored.blocks.nbytes + factored.columns.nbytes < dense.amplitudes.nbytes / 64
+
+
+def test_readers_keep_cross_branch_terms():
+    # attach_exact's blocks are orthogonal in the system index, so their
+    # cross-branch Gram terms vanish; hand-built overlapping blocks check
+    # that the readers still carry them
+    rng = np.random.default_rng(37)
+    grids = (a_pointer(), f_pointer())
+    # (shift, momentum kick) per branch on each device; the kicks make the
+    # pointer profiles complex, so the imaginary Gram terms count too
+    branches = (((0.0, 0.0), (0.0, 0.0)), ((0.7, 1.5), (0.2, 9.0)), ((-0.4, -0.8), (0.5, -4.0)))
+
+    def profile(grid, shift, kick):
+        return pointer.shift(grid, shift).amplitudes * np.exp(1j * kick * grid.positions)
+
+    blocks = np.stack([
+        np.multiply.outer(rng.normal(size=2) + 1j * rng.normal(size=2), profile(grids[0], *a))
+        for a, _ in branches
+    ])
+    columns = np.stack([profile(grids[1], *f) for _, f in branches])
+    factored = vonneumann.FactoredState(2, grids, blocks, columns)
+    dense = factored.to_joint()
+    for reader in (vonneumann.device_density, vonneumann.device_momentum_density):
+        assert np.max(np.abs(reader(factored) - reader(dense))) <= 1e-12
+    for reader in (
+        lambda s: vonneumann.mean_pointer(s, 0),
+        lambda s: vonneumann.mean_pointer(s, 1),
+        vonneumann.position_correlation,
+        vonneumann.total_norm,
+    ):
+        assert reader(factored) == pytest.approx(reader(dense), abs=1e-12)
+
+
+class TestAttachExact:
+    def test_shift_guard(self):
+        s = vonneumann.initial_state(THETA_I, [a_pointer()])
+        with pytest.raises(GridExtentError):
+            vonneumann.attach_exact(
+                s, f_pointer(), vonneumann.CouplingSpec(qmath.projector(THETA_F), 2.0, 1)
+            )
+
+    def test_needs_one_axis_and_axis_one(self):
+        one = vonneumann.initial_state(THETA_I, [a_pointer()])
+        two = vonneumann.initial_state(THETA_I, [a_pointer(), f_pointer()])
+        fhat = qmath.projector(THETA_F)
+        with pytest.raises(MissingAxisError):
+            vonneumann.attach_exact(two, f_pointer(), vonneumann.CouplingSpec(fhat, G_F, 1))
+        with pytest.raises(MissingAxisError):
+            vonneumann.attach_exact(one, f_pointer(), vonneumann.CouplingSpec(fhat, G_F, 0))
+        with pytest.raises(DimensionError):
+            vonneumann.attach_exact(one, f_pointer(), vonneumann.CouplingSpec(np.eye(3), G_F, 1))
+
+    def test_block_shapes_checked(self):
+        s = vonneumann.initial_state(THETA_I, [a_pointer()])
+        state = vonneumann.attach_exact(
+            s, f_pointer(), vonneumann.CouplingSpec(qmath.projector(THETA_F), G_F, 1)
+        )
+        with pytest.raises(DimensionError):
+            vonneumann.FactoredState(2, state.pointers, state.blocks, state.columns[:1])
