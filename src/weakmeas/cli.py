@@ -6,15 +6,15 @@ Commands:
   weakmeas presets                               list built-in scenarios
 
 Exit codes: 0 success, 2 validation or usage error, 3 runtime error.
-Data goes to stdout or --out (written via a temp file and rename, never a
-partial file); diagnostics go to stderr.  JSON output is canonical:
-sorted keys, floats at 17 significant digits, so identical runs produce
-identical bytes.
+Data goes to stdout or --out; --out and --dump-records are written via a
+temp file and rename, never a partial file.  Diagnostics go to stderr.
+JSON output is canonical: sorted keys, floats at 17 significant digits,
+so identical runs produce identical bytes.
 """
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import os
@@ -83,16 +83,18 @@ def canonical_dumps(doc: dict) -> str:
     return _canonical(doc, 0) + "\n"
 
 
-def _pair(z: complex):
-    return [float(z.real), float(z.imag)]
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """Text handle on a temp file beside path, renamed onto path on success.
 
-
-def _write_atomic(path: str, text: str) -> None:
+    On any exception the temp file is removed and path is left as it was,
+    so path never holds a partial file.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".weakmeas-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -102,7 +104,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        _write_atomic(out_path, text)
+        with _atomic_file(out_path) as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 
@@ -110,10 +113,10 @@ def _emit(text: str, out_path) -> None:
 def _report_doc(sc: Scenario) -> dict:
     rep = weakvalues.commutation_report(sc.a_matrix, sc.i_vector, sc.f_vector)
     return {
-        "weak_value": _pair(rep.weak_value),
+        "weak_value": scenario_mod.encode_complex(rep.weak_value),
         "re_formula": rep.re_formula,
         "im_formula": rep.im_formula,
-        "overlap": _pair(rep.overlap),
+        "overlap": scenario_mod.encode_complex(rep.overlap),
         "postselect_prob": rep.postselect_prob,
         "commutator_norms": dict(rep.commutator_norms),
     }
@@ -209,11 +212,21 @@ def _apply_sweep_param(sc: Scenario, param: str, value: float) -> Scenario:
     return scenario_mod.validate(probe)
 
 
-def sweep_csv(sc: Scenario, param: str, values, threads: int = 1) -> str:
-    """One row per value, in the order given."""
+def _sweep_probes(sc: Scenario, param: str, values) -> list:
+    """The validated scenario of each sweep point, in the order given."""
+    return [_apply_sweep_param(sc, param, value) for value in values]
+
+
+def sweep_csv(sc: Scenario, param: str, values, threads: int = 1, probes=None) -> str:
+    """One row per value, in the order given.
+
+    probes, when given, are the points already built by _sweep_probes for
+    these values; otherwise each point is built and validated here.
+    """
+    if probes is None:
+        probes = _sweep_probes(sc, param, values)
     lines = [SWEEP_HEADER]
-    for value in values:
-        probe = _apply_sweep_param(sc, param, value)
+    for value, probe in zip(values, probes):
         re, im = _closed_form_pair(probe)
         estimate, std_error = _sweep_estimate(probe, threads)
         target = im if probe.run.readout == "momentum" else re
@@ -294,9 +307,8 @@ def _cmd_run(args) -> int:
         text = canonical_dumps(doc) if args.format == "json" else _doc_to_csv(doc)
         _emit(text, args.out)
         if args.dump_records:
-            buffer = io.StringIO()
-            estimator.dump_records(records, buffer)
-            _write_atomic(args.dump_records, buffer.getvalue())
+            with _atomic_file(args.dump_records) as handle:
+                estimator.dump_records(records, handle)
     except WeakmeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -313,13 +325,13 @@ def _cmd_sweep(args) -> int:
         if not values:
             raise ScenarioError("--values is empty")
         # validate every point up front so a bad value cannot leave a partial file
-        for value in values:
-            _apply_sweep_param(sc, args.param, value)
+        probes = _sweep_probes(sc, args.param, values)
     except WeakmeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(sweep_csv(sc, args.param, values, threads=args.threads), args.out)
+        text = sweep_csv(sc, args.param, values, threads=args.threads, probes=probes)
+        _emit(text, args.out)
     except WeakmeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

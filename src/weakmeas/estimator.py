@@ -29,6 +29,10 @@ from .scenario import Scenario
 CHUNK_SIZE = 1 << 16
 WORDS_PER_RECORD = 3
 BOOST_IDENTITY_ACCURACY = 1e-12
+# rows per formatted write in dump_records: large enough to amortise the
+# per-write cost, small enough that a block's text stays near 150 kB
+DUMP_BLOCK_ROWS = 4096
+_DUMP_ROW = "%d,%.17g,%.17g,%d\n"
 
 
 class MeasurementRecord(NamedTuple):
@@ -319,14 +323,22 @@ def boost_identity_check(records) -> BoostIdentity:
 def dump_records(records, handle) -> None:
     """Write records as CSV: index,value_A,value_F,selected.
 
-    Floats carry 17 significant digits; selected is 1 or 0.
+    Floats carry 17 significant digits; selected is 1 or 0.  Rows are
+    formatted and written DUMP_BLOCK_ROWS at a time, so a long dump
+    streams into handle without being held in memory whole.
     """
     xa, xf, sel = _columns(records)
     handle.write("index,value_A,value_F,selected\n")
-    for k in range(xa.size):
-        handle.write(
-            f"{k},{xa[k]:.17g},{xf[k]:.17g},{1 if sel[k] else 0}\n"
-        )
+    for lo in range(0, xa.size, DUMP_BLOCK_ROWS):
+        hi = min(lo + DUMP_BLOCK_ROWS, xa.size)
+        # one %-format over the interleaved block; '%.17g' of a Python
+        # float spells every value as format(value, '.17g') does
+        cells = [None] * (4 * (hi - lo))
+        cells[0::4] = range(lo, hi)
+        cells[1::4] = xa[lo:hi].tolist()
+        cells[2::4] = xf[lo:hi].tolist()
+        cells[3::4] = sel[lo:hi].tolist()
+        handle.write(_DUMP_ROW * (hi - lo) % tuple(cells))
 
 
 def exact_moments(sc: Scenario) -> dict:

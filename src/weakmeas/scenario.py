@@ -110,9 +110,11 @@ def _parse_matrix(value, where: str) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _require(raw: dict, key: str):
+def _require(raw: dict, key: str, where: str = ""):
+    # a top-level field is named quoted, a nested one as where.key
     if key not in raw:
-        raise ScenarioError(f"missing required field {key!r}")
+        name = f"{where}.{key}" if where else repr(key)
+        raise ScenarioError(f"missing required field {name}")
     return raw[key]
 
 
@@ -125,18 +127,12 @@ def _positive_real(value, where: str) -> float:
 def _parse_pointer(raw, where: str) -> PointerSettings:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object with sigma, n_points, extent")
-    sigma = _positive_real(_require_sub(raw, "sigma", where), f"{where}.sigma")
-    n_points = _require_sub(raw, "n_points", where)
+    sigma = _positive_real(_require(raw, "sigma", where), f"{where}.sigma")
+    n_points = _require(raw, "n_points", where)
     if not _is_int(n_points) or n_points < 2 or n_points & (n_points - 1):
         raise ScenarioError(f"{where}.n_points: expected a power of two >= 2, got {n_points!r}")
-    extent = _positive_real(_require_sub(raw, "extent", where), f"{where}.extent")
+    extent = _positive_real(_require(raw, "extent", where), f"{where}.extent")
     return PointerSettings(sigma=sigma, n_points=n_points, extent=extent)
-
-
-def _require_sub(raw: dict, key: str, where: str):
-    if key not in raw:
-        raise ScenarioError(f"missing required field {where}.{key}")
-    return raw[key]
 
 
 def _parse_run(raw, gf_tf: float) -> RunSettings:
@@ -241,7 +237,8 @@ def from_dict(raw: dict) -> Scenario:
     return validate(sc)
 
 
-def _encode_complex(z: complex):
+def encode_complex(z: complex):
+    """JSON form of a complex number: [re, im]."""
     return [float(z.real), float(z.imag)]
 
 
@@ -249,9 +246,9 @@ def to_dict(sc: Scenario) -> dict:
     """Inverse of from_dict, suitable for JSON dumping."""
     return {
         "system_dim": sc.system_dim,
-        "A_matrix": [[_encode_complex(z) for z in row] for row in np.asarray(sc.a_matrix)],
-        "I_vector": [_encode_complex(z) for z in np.asarray(sc.i_vector)],
-        "F_vector": [_encode_complex(z) for z in np.asarray(sc.f_vector)],
+        "A_matrix": [[encode_complex(z) for z in row] for row in np.asarray(sc.a_matrix)],
+        "I_vector": [encode_complex(z) for z in np.asarray(sc.i_vector)],
+        "F_vector": [encode_complex(z) for z in np.asarray(sc.f_vector)],
         "gA_tA": sc.ga_ta,
         "gF_tF": sc.gf_tf,
         "hbar": sc.hbar,

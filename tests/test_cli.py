@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from weakmeas import cli, scenario
+from weakmeas import cli, estimator, scenario
+from weakmeas.errors import WeakmeasError
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +120,25 @@ class TestRun:
             _, _, _, sel = line.split(",")
             assert sel in ("0", "1")
 
+    def test_failed_dump_leaves_target_untouched(self, tmp_path, raw, capsys, monkeypatch):
+        raw["run"].update(mode="sample-ideal", samples=3 * estimator.DUMP_BLOCK_ROWS)
+        real_dump = estimator.dump_records
+
+        def dump_one_block_then_fail(records, handle):
+            real_dump(records[:estimator.DUMP_BLOCK_ROWS], handle)
+            handle.flush()
+            raise WeakmeasError("disk full")
+
+        monkeypatch.setattr(estimator, "dump_records", dump_one_block_then_fail)
+        rec_path = tmp_path / "records.csv"
+        rec_path.write_bytes(b"old bytes\n")
+        argv = ["run", "--config", dump(tmp_path, raw), "--out", str(tmp_path / "doc.json"),
+                "--dump-records", str(rec_path)]
+        assert cli.main(argv) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert rec_path.read_bytes() == b"old bytes\n"
+        assert [n for n in os.listdir(tmp_path) if n.startswith(".weakmeas-tmp-")] == []
+
 
 class TestSeedPrecedence:
     def test_file_seed_is_default(self, tmp_path, raw, capsys):
@@ -223,6 +243,16 @@ class TestSweep:
         row = out_path.read_text().rstrip("\n").split("\n")[1].split(",")
         assert float(row[2]) == doc["estimate"]
         assert float(row[3]) == doc["std_error"]
+
+    def test_each_point_validated_once(self, tmp_path, raw, capsys, monkeypatch):
+        raw["run"]["mode"] = "closed-form"
+        calls = []
+        real_validate = scenario.validate
+        monkeypatch.setattr(scenario, "validate", lambda sc: calls.append(sc) or real_validate(sc))
+        argv = ["sweep", "--config", dump(tmp_path, raw), "--param", "gA_tA",
+                "--values", "0.01,0.02,0.03,0.04", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1 + 4  # the loaded file, then each point
 
     def test_bad_value_fails_before_writing(self, tmp_path, raw, capsys):
         raw["run"]["mode"] = "exact-moments"

@@ -295,3 +295,52 @@ class TestRecordDump:
             assert float(xf) == batch.value_F[k]
             assert sel in ("0", "1")
             assert (sel == "1") == bool(batch.selected[k])
+
+
+def reference_dump(records, handle):
+    """The one-row-per-write writer dump_records must match byte for byte."""
+    xa, xf, sel = estimator._columns(records)
+    handle.write("index,value_A,value_F,selected\n")
+    for k in range(xa.size):
+        handle.write(f"{k},{xa[k]:.17g},{xf[k]:.17g},{1 if sel[k] else 0}\n")
+
+
+def dump_matching_reference(records) -> str:
+    got, want = io.StringIO(), io.StringIO()
+    estimator.dump_records(records, got)
+    reference_dump(records, want)
+    # name the first differing line: pytest's diff of two long texts is slow
+    pairs = zip(got.getvalue().splitlines(True), want.getvalue().splitlines(True))
+    first = next(((k, a, b) for k, (a, b) in enumerate(pairs) if a != b), None)
+    assert first is None, f"line {first[0]}: {first[1]!r} != {first[2]!r}"
+    assert got.getvalue() == want.getvalue()
+    return got.getvalue()
+
+
+EDGE_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e17, 0.1, 1e-5,
+               float(2**53)]
+
+
+class TestBlockWriter:
+    def test_edge_values_match_reference(self):
+        edges = np.array(EDGE_VALUES)
+        text = dump_matching_reference(
+            RecordBatch(edges, edges[::-1], np.arange(edges.size) % 2 == 0)
+        )
+        column_a = [line.split(",")[1] for line in text.splitlines()[1:]]
+        assert column_a[:6] == ["0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324"]
+
+    @pytest.mark.parametrize("blocks, rows", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+                             ids=["0", "1", "B-1", "B", "B+1", "3B+7"])
+    def test_row_counts_match_reference(self, blocks, rows):
+        n = blocks * estimator.DUMP_BLOCK_ROWS + rows
+        rng = np.random.default_rng(n)
+        # random bit patterns reach every exponent, subnormals and NaN payloads
+        xa = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+        text = dump_matching_reference(RecordBatch(xa, rng.normal(size=n), rng.random(n) < 0.5))
+        assert text.count("\n") == n + 1
+
+    def test_record_list_matches_reference(self):
+        dump_matching_reference(
+            [MeasurementRecord(v, -v, k % 2 == 0) for k, v in enumerate(EDGE_VALUES)]
+        )

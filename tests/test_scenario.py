@@ -118,6 +118,17 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="F_vector"):
             scenario.from_dict(raw)
 
+    @pytest.mark.parametrize("drop, message", [
+        (lambda raw: raw.pop("F_vector"), "missing required field 'F_vector'"),
+        (lambda raw: raw["pointer_F"].pop("n_points"), "missing required field pointer_F.n_points"),
+    ], ids=["top-level", "nested"])
+    def test_missing_field_message(self, drop, message):
+        raw = base_dict()
+        drop(raw)
+        with pytest.raises(ScenarioError) as info:
+            scenario.from_dict(raw)
+        assert str(info.value) == message
+
     def test_dimension_mismatch(self):
         raw = base_dict()
         raw["I_vector"] = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
