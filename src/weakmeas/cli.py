@@ -6,8 +6,10 @@ Commands:
   weakmeas presets                               list built-in scenarios
 
 Exit codes: 0 success, 2 validation or usage error, 3 runtime error.
-Data goes to stdout or --out; --out and --dump-records are written via a
-temp file and rename, never a partial file.  Diagnostics go to stderr.
+Data goes to stdout or --out; --out and --dump-records are written to
+temp files that are renamed into place together once both are complete,
+so neither is ever partial or left without its partner.  A path that
+cannot be written ends in exit 3.  Diagnostics go to stderr.
 JSON output is canonical: sorted keys, floats at 17 significant digits,
 so identical runs produce identical bytes.
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import entanglement, estimator, weakvalues
 from . import scenario as scenario_mod
-from .errors import ScenarioError, WeakmeasError
+from .errors import OutputError, ScenarioError, WeakmeasError
 from .scenario import Scenario
 
 SEED_ENV_VAR = "WEAKMEAS_SEED"
@@ -84,29 +86,48 @@ def canonical_dumps(doc: dict) -> str:
 
 
 @contextlib.contextmanager
-def _atomic_file(path: str):
-    """Text handle on a temp file beside path, renamed onto path on success.
+def _atomic_files(paths):
+    """Text handles on temp files beside each path, renamed onto them together.
 
-    On any exception the temp file is removed and path is left as it was,
-    so path never holds a partial file.
+    Every handle is closed before the first rename, so on any exception
+    each path keeps its old bytes and the temp files are removed.  Renamed
+    files get the mode a plain open() gives a new file, 0o666 less the
+    umask.  An OSError becomes an OutputError that names the path.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".weakmeas-tmp-")
+    staged = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for target in paths:
+            directory = os.path.dirname(os.path.abspath(target))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".weakmeas-tmp-")
+            staged.append((tmp, os.fdopen(fd, "w", encoding="utf-8", newline="")))
+        target = ", ".join(paths)
+        yield [handle for _, handle in staged]
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        for tmp, handle in staged:
+            handle.close()
+            os.chmod(tmp, 0o666 & ~umask)
+        for (tmp, _), target in zip(staged, paths):
+            os.replace(tmp, target)
+    except BaseException as exc:
+        for tmp, handle in staged:
+            handle.close()
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {target}: {exc.strerror or exc}") from exc
         raise
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with _atomic_file(out_path) as handle:
-            handle.write(text)
-    else:
+def _emit(text: str, out_path, records=None, dump_path=None) -> None:
+    """Write text to out_path, or stdout, and records to dump_path as one commit."""
+    paths = [p for p in (out_path, dump_path) if p]
+    with _atomic_files(paths) as handles:
+        if out_path:
+            handles[0].write(text)
+        if dump_path:
+            estimator.dump_records(records, handles[-1])
+    if not out_path:
         sys.stdout.write(text)
 
 
@@ -175,24 +196,6 @@ def _doc_to_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _closed_form_pair(sc: Scenario):
-    re = weakvalues.re_weak_formula(sc.a_matrix, sc.i_vector, sc.f_vector)
-    im = weakvalues.im_weak_formula(sc.a_matrix, sc.i_vector, sc.f_vector)
-    return re, im
-
-
-def _sweep_estimate(sc: Scenario, threads: int):
-    mode = sc.run.mode
-    if mode in ("closed-form", "diagnostics"):
-        re, im = _closed_form_pair(sc)
-        return (im if sc.run.readout == "momentum" else re), 0.0
-    if mode == "exact-moments":
-        em = estimator.exact_moments(sc)
-        return em["estimate"], 0.0
-    doc, _ = run_scenario(sc, threads=threads)
-    return doc["estimate"], doc["std_error"]
-
-
 def _apply_sweep_param(sc: Scenario, param: str, value: float) -> Scenario:
     if param == "gA_tA":
         probe = replace(sc, ga_ta=value)
@@ -227,9 +230,14 @@ def sweep_csv(sc: Scenario, param: str, values, threads: int = 1, probes=None) -
         probes = _sweep_probes(sc, param, values)
     lines = [SWEEP_HEADER]
     for value, probe in zip(values, probes):
-        re, im = _closed_form_pair(probe)
-        estimate, std_error = _sweep_estimate(probe, threads)
+        re = weakvalues.re_weak_formula(probe.a_matrix, probe.i_vector, probe.f_vector)
+        im = weakvalues.im_weak_formula(probe.a_matrix, probe.i_vector, probe.f_vector)
         target = im if probe.run.readout == "momentum" else re
+        if probe.run.mode in ("closed-form", "diagnostics"):
+            estimate, std_error = target, 0.0
+        else:
+            doc, _ = run_scenario(probe, threads=threads)
+            estimate, std_error = doc["estimate"], doc["std_error"]
         cells = (value, estimate, std_error, re, im, abs(estimate - target))
         lines.append(param + "," + ",".join(_format_float(c) for c in cells))
     return "\n".join(lines) + "\n"
@@ -305,10 +313,7 @@ def _cmd_run(args) -> int:
     try:
         doc, records = run_scenario(sc, threads=args.threads)
         text = canonical_dumps(doc) if args.format == "json" else _doc_to_csv(doc)
-        _emit(text, args.out)
-        if args.dump_records:
-            with _atomic_file(args.dump_records) as handle:
-                estimator.dump_records(records, handle)
+        _emit(text, args.out, records, args.dump_records)
     except WeakmeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -38,24 +38,22 @@ class SeparabilityReport:
     correlation_gap: Optional[float] = None
 
 
+# the amplitude tensor axis each cut splits off: the system, device 0, device 1
+_CUT_AXES = {"system": 0, "axis0": 1, "axis1": 2}
+
+
 def _cut_matrix(s: State, bipartition: str) -> np.ndarray:
+    if bipartition not in _CUT_AXES:
+        raise DimensionError(
+            f"unknown bipartition {bipartition!r}; expected 'system', 'axis0' or 'axis1'"
+        )
+    axis = _CUT_AXES[bipartition]
+    if axis > len(s.pointers):
+        raise DimensionError(f"bipartition {bipartition!r} needs a second device axis")
     if isinstance(s, FactoredState):
         s = s.to_joint()
-    amps = s.amplitudes
-    axes = len(s.pointers)
-    if bipartition == "system":
-        return amps.reshape(s.system_dim, -1)
-    if bipartition == "axis0":
-        moved = np.moveaxis(amps, 1, 0)
-        return moved.reshape(moved.shape[0], -1)
-    if bipartition == "axis1":
-        if axes < 2:
-            raise DimensionError("bipartition 'axis1' needs a second device axis")
-        moved = np.moveaxis(amps, 2, 0)
-        return moved.reshape(moved.shape[0], -1)
-    raise DimensionError(
-        f"unknown bipartition {bipartition!r}; expected 'system', 'axis0' or 'axis1'"
-    )
+    moved = np.moveaxis(s.amplitudes, axis, 0)
+    return moved.reshape(moved.shape[0], -1)
 
 
 def product_check(s: State, bipartition: str = "system") -> SeparabilityReport:

@@ -35,3 +35,7 @@ class EmptyPostSelectionError(WeakmeasError):
 
 class ScenarioError(WeakmeasError):
     """Scenario description is malformed or inconsistent."""
+
+
+class OutputError(WeakmeasError):
+    """An output file cannot be written."""

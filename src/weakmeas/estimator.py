@@ -147,19 +147,22 @@ def coupled_state(sc: Scenario) -> vonneumann.FactoredState:
     )
 
 
+def _readout_values(sc: Scenario, grid_a: pointer.PointerGrid):
+    """Device-A readout values for the configured readout, plus their spacing."""
+    if sc.run.readout == "momentum":
+        vals = pointer.momentum_values(grid_a)
+        return vals, float(vals[1] - vals[0])
+    return grid_a.positions, grid_a.dx
+
+
 def _readout_axis(sc: Scenario, state: vonneumann.FactoredState):
     """Density over (device-A readout, x_F) plus the two value grids."""
-    grid_a = state.pointers[0]
-    grid_f = state.pointers[1]
     if sc.run.readout == "momentum":
         density = vonneumann.device_momentum_density(state)
-        vals_a = pointer.momentum_values(grid_a)
-        step_a = float(vals_a[1] - vals_a[0])
     else:
         density = vonneumann.device_density(state)
-        vals_a = grid_a.positions
-        step_a = grid_a.dx
-    return density, vals_a, step_a, grid_f.positions, grid_f.dx
+    vals_a, step_a = _readout_values(sc, state.pointers[0])
+    return density, vals_a, step_a, state.pointers[1].positions, state.pointers[1].dx
 
 
 def _cell_cdf(weights: np.ndarray) -> np.ndarray:
@@ -169,6 +172,11 @@ def _cell_cdf(weights: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(weights / total)
     cdf[-1] = 1.0
     return cdf
+
+
+def _draw_cells(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF lookup: the cell index of each uniform, clamped to the last cell."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 
 def sample_records(sc: Scenario, n: int, seed=None, threads: int = 1, start: int = 0) -> RecordBatch:
@@ -189,9 +197,7 @@ def sample_records(sc: Scenario, n: int, seed=None, threads: int = 1, start: int
 
     def worker(chunk_index, row_lo, row_hi):
         u = _uniform_block(seed, chunk_index, row_lo, row_hi)
-        flat = np.searchsorted(cdf, u[:, 0], side="right")
-        flat = np.minimum(flat, cdf.size - 1)
-        row, col = np.divmod(flat, n_cols)
+        row, col = np.divmod(_draw_cells(cdf, u[:, 0]), n_cols)
         xa = vals_a[row] + (u[:, 1] - 0.5) * step_a
         xf = vals_f[col] + (u[:, 2] - 0.5) * step_f
         return xa, xf, xf > threshold
@@ -216,17 +222,12 @@ def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int =
     unsel_amps = amps - np.multiply.outer(f_vec, sel_amps)
     p_select = float(np.sum(np.abs(sel_amps) ** 2) * grid_a.dx)
 
+    vals_a, step_a = _readout_values(sc, grid_a)
     if sc.run.readout == "momentum":
-        vals_a = pointer.momentum_values(grid_a)
-        step_a = float(vals_a[1] - vals_a[0])
-        sel_density = np.abs(pointer.momentum_amplitudes(sel_amps, grid_a)) ** 2
-        unsel_ft = pointer.momentum_amplitudes(unsel_amps, grid_a)
-        unsel_density = np.sum(np.abs(unsel_ft) ** 2, axis=0)
-    else:
-        vals_a = grid_a.positions
-        step_a = grid_a.dx
-        sel_density = np.abs(sel_amps) ** 2
-        unsel_density = np.sum(np.abs(unsel_amps) ** 2, axis=0)
+        sel_amps = pointer.momentum_amplitudes(sel_amps, grid_a)
+        unsel_amps = pointer.momentum_amplitudes(unsel_amps, grid_a)
+    sel_density = np.abs(sel_amps) ** 2
+    unsel_density = np.sum(np.abs(unsel_amps) ** 2, axis=0)
     cdf_sel = _cell_cdf(sel_density) if sel_density.sum() > 0 else None
     cdf_unsel = _cell_cdf(unsel_density) if unsel_density.sum() > 0 else None
     threshold = sc.run.threshold
@@ -240,8 +241,7 @@ def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int =
                 continue
             if cdf is None:
                 raise EmptyPostSelectionError("conditional readout density has no mass")
-            idx = np.minimum(np.searchsorted(cdf, u[mask, 1], side="right"), cdf.size - 1)
-            xa[mask] = vals_a[idx] + (u[mask, 2] - 0.5) * step_a
+            xa[mask] = vals_a[_draw_cells(cdf, u[mask, 1])] + (u[mask, 2] - 0.5) * step_a
         xf = np.where(chose_f, 1.0, 0.0)
         return xa, xf, xf > threshold
 

@@ -60,7 +60,9 @@ class PointerGrid:
             )
         norm = np.sum(np.abs(amps) ** 2) * self.dx
         if abs(norm - 1.0) > NORMALIZATION_ACCURACY:
-            raise NormalizationError(f"grid norm {norm!r} deviates from 1 beyond 1e-10")
+            raise NormalizationError(
+                f"grid norm {norm!r} deviates from 1 beyond {NORMALIZATION_ACCURACY:.0e}"
+            )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -119,19 +121,34 @@ def gaussian_pointer(sigma: float, n_points: int, extent: float, hbar: float) ->
     return PointerGrid(n_points, extent, sigma, hbar, psi)
 
 
+def check_shift_reach(reach: float, sigma: float, extent: float, what: str) -> None:
+    """Wraparound guard: GridExtentError, naming what, unless reach + 6 sigma <= extent/2."""
+    if reach + SHIFT_GUARD_SIGMAS * sigma > extent / 2:
+        raise GridExtentError(
+            f"{what}: displacement reach {reach} plus {SHIFT_GUARD_SIGMAS} sigma exceeds "
+            f"half extent {extent / 2}"
+        )
+
+
+def translation_phases(p: PointerGrid, shifts, what: str) -> np.ndarray:
+    """FFT-order factors exp(-i delta pi / hbar) translating by delta, one row per shift.
+
+    The largest |delta| must pass check_shift_reach.
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    check_shift_reach(float(np.max(np.abs(shifts))), p.sigma, p.extent, what)
+    momenta = fft_momenta(p.n_points, p.extent, p.hbar)
+    return np.exp(-1j * np.multiply.outer(shifts, momenta) / p.hbar)
+
+
 def shift(p: PointerGrid, delta: float) -> PointerGrid:
     """Translate the wavefunction by delta via the Fourier shift theorem.
 
     The shift is circular on the grid, so a wraparound guard demands
     |delta| + 6 sigma <= extent / 2.
     """
-    if abs(delta) + SHIFT_GUARD_SIGMAS * p.sigma > p.extent / 2:
-        raise GridExtentError(
-            f"shift by {delta} would wrap: |delta| + {SHIFT_GUARD_SIGMAS} sigma exceeds "
-            f"extent/2 = {p.extent / 2}"
-        )
-    momenta = fft_momenta(p.n_points, p.extent, p.hbar)
-    shifted = np.fft.ifft(np.fft.fft(p.amplitudes) * np.exp(-1j * momenta * delta / p.hbar))
+    phase = translation_phases(p, [delta], "shift")[0]
+    shifted = np.fft.ifft(np.fft.fft(p.amplitudes) * phase)
     return PointerGrid(p.n_points, p.extent, p.sigma, p.hbar, shifted)
 
 

@@ -13,8 +13,10 @@ import numpy as np
 
 from .errors import DimensionError, NormalizationError, NotHermitianError
 
-# herm_eig rejects inputs whose Hermiticity defect exceeds this
+# library acceptance tolerances: the Hermiticity defect herm_eig and the
+# weak-value formulas accept, and the norm error of a system state
 HERMITICITY_ACCURACY = 1e-10
+STATE_NORM_ACCURACY = 1e-10
 
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -63,6 +65,15 @@ def require_normalized(psi, tol: float, what: str = "state") -> np.ndarray:
 def hermiticity_defect(m) -> float:
     m = operator(m)
     return float(np.max(np.abs(m - dagger(m))))
+
+
+def require_hermitian(m, tol: float = HERMITICITY_ACCURACY, what: str = "operator") -> np.ndarray:
+    """Return m as an operator, raising NotHermitianError when its defect exceeds tol."""
+    m = operator(m)
+    defect = hermiticity_defect(m)
+    if defect > tol:
+        raise NotHermitianError(f"{what}: hermiticity defect {defect:.3e} exceeds {tol:.0e}")
+    return m
 
 
 def projector(psi) -> np.ndarray:
@@ -157,13 +168,7 @@ def herm_eig(op) -> SpectralDecomposition:
     Raises NotHermitianError when the Hermiticity defect exceeds
     HERMITICITY_ACCURACY.
     """
-    m = operator(op)
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_ACCURACY:
-        raise NotHermitianError(
-            f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_ACCURACY:.0e}"
-        )
-    w, u = np.linalg.eigh(m)
+    w, u = np.linalg.eigh(require_hermitian(op))
     w = w[::-1].copy()
     u = u[:, ::-1].copy()
     for k in range(u.shape[1]):

@@ -12,26 +12,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, replace
 from typing import Tuple
 
 import numpy as np
 
 from . import qmath
-from .errors import (
-    GridExtentError,
-    NormalizationError,
-    NotHermitianError,
-    ScenarioError,
-)
-from .pointer import MIN_EXTENT_SIGMAS, SHIFT_GUARD_SIGMAS, PointerGrid, gaussian_pointer
+from .errors import GridExtentError, ScenarioError
+from .pointer import MIN_EXTENT_SIGMAS, PointerGrid, check_shift_reach, gaussian_pointer
+from .qmath import STATE_NORM_ACCURACY
 
 MODES = ("closed-form", "exact-moments", "sample-pointer", "sample-ideal", "diagnostics")
 READOUTS = ("position", "momentum")
 
 # scenario-level hermiticity gate, tighter than the library default
 A_HERMITICITY_ACCURACY = 1e-12
-STATE_NORM_ACCURACY = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,6 +35,9 @@ class PointerSettings:
     sigma: float
     n_points: int
     extent: float
+
+    def grid(self, hbar: float) -> PointerGrid:
+        return gaussian_pointer(self.sigma, self.n_points, self.extent, hbar)
 
 
 @dataclass(frozen=True)
@@ -66,14 +65,10 @@ class Scenario:
     run: RunSettings = field(default_factory=RunSettings)
 
     def grid_a(self) -> PointerGrid:
-        return gaussian_pointer(
-            self.pointer_a.sigma, self.pointer_a.n_points, self.pointer_a.extent, self.hbar
-        )
+        return self.pointer_a.grid(self.hbar)
 
     def grid_f(self) -> PointerGrid:
-        return gaussian_pointer(
-            self.pointer_f.sigma, self.pointer_f.n_points, self.pointer_f.extent, self.hbar
-        )
+        return self.pointer_f.grid(self.hbar)
 
 
 def _is_int(value) -> bool:
@@ -82,7 +77,8 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # JSON integers are unbounded; one beyond the float range is no real number here
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
 def _parse_complex(value, where: str) -> complex:
@@ -118,6 +114,12 @@ def _require(raw: dict, key: str, where: str = ""):
     return raw[key]
 
 
+def _finite_real(value, where: str) -> float:
+    if not _is_real(value) or not math.isfinite(value):
+        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _positive_real(value, where: str) -> float:
     if not _is_real(value) or not math.isfinite(value) or value <= 0:
         raise ScenarioError(f"{where}: expected a positive finite number, got {value!r}")
@@ -136,6 +138,8 @@ def _parse_pointer(raw, where: str) -> PointerSettings:
 
 
 def _parse_run(raw, gf_tf: float) -> RunSettings:
+    if not isinstance(raw, (dict, type(None))):
+        raise ScenarioError(f"run: expected an object, got {raw!r}")
     raw = dict(raw or {})
     mode = raw.pop("mode", "closed-form")
     if mode not in MODES:
@@ -149,13 +153,11 @@ def _parse_run(raw, gf_tf: float) -> RunSettings:
     seed = raw.pop("seed", 0)
     if not _is_int(seed) or not 0 <= seed < 2**64:
         raise ScenarioError(f"run.seed: expected a 64-bit unsigned integer, got {seed!r}")
-    threshold = raw.pop("threshold", 0.5 * gf_tf)
-    if not _is_real(threshold) or not math.isfinite(threshold):
-        raise ScenarioError(f"run.threshold: expected a finite number, got {threshold!r}")
+    threshold = _finite_real(raw.pop("threshold", 0.5 * gf_tf), "run.threshold")
     if raw:
         raise ScenarioError(f"run: unknown fields {sorted(raw)}")
     return RunSettings(
-        mode=mode, readout=readout, samples=samples, seed=seed, threshold=float(threshold)
+        mode=mode, readout=readout, samples=samples, seed=seed, threshold=threshold
     )
 
 
@@ -174,21 +176,18 @@ def validate(sc: Scenario) -> Scenario:
         raise ScenarioError(
             f"A_matrix: dimension {a.shape[0]} disagrees with system_dim {sc.system_dim}"
         )
-    defect = qmath.hermiticity_defect(a)
-    if defect > A_HERMITICITY_ACCURACY:
-        raise NotHermitianError(
-            f"A_matrix: hermiticity defect {defect:.3e} exceeds {A_HERMITICITY_ACCURACY:.0e}"
-        )
+    qmath.require_hermitian(a, A_HERMITICITY_ACCURACY, "A_matrix")
     for name, vec in (("I_vector", sc.i_vector), ("F_vector", sc.f_vector)):
         v = qmath.ket(vec)
         if v.size != sc.system_dim:
             raise ScenarioError(f"{name}: length {v.size} disagrees with system_dim")
-        miss = abs(np.linalg.norm(v) - 1.0)
-        if miss > STATE_NORM_ACCURACY:
-            raise NormalizationError(f"{name}: norm deviates from 1 by {miss:.3e}")
-    for coupling, strength, pname, ps in (
-        ("A", sc.ga_ta, "pointer_A", sc.pointer_a),
-        ("F", sc.gf_tf, "pointer_F", sc.pointer_f),
+        qmath.require_normalized(v, STATE_NORM_ACCURACY, name)
+    # reach of each coupling: |strength| times the largest |eigenvalue| of its
+    # observable; the projector's eigenvalues are 0 and 1
+    a_reach = abs(sc.ga_ta) * float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    for pname, ps, reach in (
+        ("pointer_A", sc.pointer_a, a_reach),
+        ("pointer_F", sc.pointer_f, abs(sc.gf_tf)),
     ):
         # sweeps replace sigma after parsing, so a NaN can reach this point
         _positive_real(ps.sigma, f"{pname}.sigma")
@@ -196,16 +195,7 @@ def validate(sc: Scenario) -> Scenario:
             raise GridExtentError(
                 f"{pname}.extent: {ps.extent} is below {MIN_EXTENT_SIGMAS} sigma"
             )
-        # reach of the coupling: largest |eigenvalue| on that axis
-        if coupling == "A":
-            reach = abs(strength) * float(np.max(np.abs(np.linalg.eigvalsh(a))))
-        else:
-            reach = abs(strength)  # projector eigenvalues are 0 and 1
-        if reach + SHIFT_GUARD_SIGMAS * ps.sigma > ps.extent / 2:
-            raise GridExtentError(
-                f"{pname}.extent: displacement reach {reach} plus "
-                f"{SHIFT_GUARD_SIGMAS} sigma exceeds half extent {ps.extent / 2}"
-            )
+        check_shift_reach(reach, ps.sigma, ps.extent, f"{pname}.extent")
     return sc
 
 
@@ -216,23 +206,19 @@ def from_dict(raw: dict) -> Scenario:
     system_dim = _require(raw, "system_dim")
     if not _is_int(system_dim) or system_dim < 2:
         raise ScenarioError(f"system_dim: expected an integer >= 2, got {system_dim!r}")
-    gf_tf = _require(raw, "gF_tF")
-    if not _is_real(gf_tf) or not math.isfinite(gf_tf):
-        raise ScenarioError(f"gF_tF: expected a finite number, got {gf_tf!r}")
-    ga_ta = _require(raw, "gA_tA")
-    if not _is_real(ga_ta) or not math.isfinite(ga_ta):
-        raise ScenarioError(f"gA_tA: expected a finite number, got {ga_ta!r}")
+    gf_tf = _finite_real(_require(raw, "gF_tF"), "gF_tF")
+    ga_ta = _finite_real(_require(raw, "gA_tA"), "gA_tA")
     sc = Scenario(
         system_dim=system_dim,
         a_matrix=_parse_matrix(_require(raw, "A_matrix"), "A_matrix"),
         i_vector=_parse_vector(_require(raw, "I_vector"), "I_vector"),
         f_vector=_parse_vector(_require(raw, "F_vector"), "F_vector"),
-        ga_ta=float(ga_ta),
-        gf_tf=float(gf_tf),
+        ga_ta=ga_ta,
+        gf_tf=gf_tf,
         hbar=_positive_real(_require(raw, "hbar"), "hbar"),
         pointer_a=_parse_pointer(_require(raw, "pointer_A"), "pointer_A"),
         pointer_f=_parse_pointer(_require(raw, "pointer_F"), "pointer_F"),
-        run=_parse_run(raw.get("run"), float(gf_tf)),
+        run=_parse_run(raw.get("run"), gf_tf),
     )
     return validate(sc)
 
@@ -252,23 +238,9 @@ def to_dict(sc: Scenario) -> dict:
         "gA_tA": sc.ga_ta,
         "gF_tF": sc.gf_tf,
         "hbar": sc.hbar,
-        "pointer_A": {
-            "sigma": sc.pointer_a.sigma,
-            "n_points": sc.pointer_a.n_points,
-            "extent": sc.pointer_a.extent,
-        },
-        "pointer_F": {
-            "sigma": sc.pointer_f.sigma,
-            "n_points": sc.pointer_f.n_points,
-            "extent": sc.pointer_f.extent,
-        },
-        "run": {
-            "mode": sc.run.mode,
-            "readout": sc.run.readout,
-            "samples": sc.run.samples,
-            "seed": sc.run.seed,
-            "threshold": sc.run.threshold,
-        },
+        "pointer_A": asdict(sc.pointer_a),
+        "pointer_F": asdict(sc.pointer_f),
+        "run": asdict(sc.run),
     }
 
 

@@ -32,10 +32,8 @@ import numpy as np
 
 from . import pointer as _pointer
 from . import qmath
-from .errors import DimensionError, GridExtentError, MissingAxisError
+from .errors import DimensionError, MissingAxisError
 from .pointer import PointerGrid
-
-STATE_NORM_ACCURACY = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,10 +68,6 @@ class _DeviceAxes:
     """Grid bookkeeping shared by the dense and the factored state."""
 
     pointers: tuple
-
-    @property
-    def hbar(self) -> float:
-        return self.pointers[0].hbar
 
     @property
     def measure(self) -> float:
@@ -148,14 +142,12 @@ State = Union[JointState, FactoredState]
 
 
 def total_norm(s: State) -> float:
-    if isinstance(s, FactoredState):
-        return float(np.sqrt(np.sum(_marginal(s, 0)) * s.measure))
-    return float(np.sqrt(np.sum(np.abs(s.amplitudes) ** 2) * s.measure))
+    return float(np.sqrt(np.sum(_marginal(s, 0)) * s.measure))
 
 
 def initial_state(system, pointers: Sequence[PointerGrid]) -> JointState:
     """Product state |I> |phi_1> (|phi_2>) of system and fresh devices."""
-    sys_vec = qmath.require_normalized(system, STATE_NORM_ACCURACY, "system state")
+    sys_vec = qmath.require_normalized(system, qmath.STATE_NORM_ACCURACY, "system state")
     pts = _check_axes(pointers)
     amps = sys_vec
     for p in pts:
@@ -175,22 +167,6 @@ def _check_coupling(system_dim: int, n_axes: int, c: CouplingSpec) -> int:
     return 1 + c.pointer_axis
 
 
-def _branch_phases(grid: PointerGrid, c: CouplingSpec, eigenvalues: np.ndarray) -> np.ndarray:
-    """Fourier factors exp(-i strength lambda_k pi / hbar), one row per branch.
-
-    Raises GridExtentError when the largest branch shift plus the guard
-    band would wrap around the grid.
-    """
-    worst = float(np.max(np.abs(eigenvalues))) * abs(c.strength)
-    if worst + _pointer.SHIFT_GUARD_SIGMAS * grid.sigma > grid.extent / 2:
-        raise GridExtentError(
-            f"branch shift {worst} plus {_pointer.SHIFT_GUARD_SIGMAS} sigma exceeds "
-            f"extent/2 = {grid.extent / 2} on device axis {c.pointer_axis}"
-        )
-    momenta = _pointer.fft_momenta(grid.n_points, grid.extent, grid.hbar)
-    return np.exp(-1j * np.multiply.outer(c.strength * eigenvalues, momenta) / grid.hbar)
-
-
 def evolve_exact(s: JointState, c: CouplingSpec) -> JointState:
     """Exact unitary action of exp(-i strength A pi / hbar).
 
@@ -201,7 +177,9 @@ def evolve_exact(s: JointState, c: CouplingSpec) -> JointState:
     axis = _check_coupling(s.system_dim, len(s.pointers), c)
     grid = s.pointers[c.pointer_axis]
     dec = qmath.herm_eig(c.observable)
-    phase = _branch_phases(grid, c, dec.eigenvalues)
+    phase = _pointer.translation_phases(
+        grid, c.strength * dec.eigenvalues, f"device axis {c.pointer_axis}"
+    )
     # rotate the system index into the eigenbasis, translate every branch at
     # once in Fourier space, rotate back
     u = dec.eigenvectors
@@ -230,7 +208,8 @@ def attach_exact(s: JointState, grid: PointerGrid, c: CouplingSpec) -> FactoredS
     if c.pointer_axis != 1:
         raise MissingAxisError(f"attach_exact couples device axis 1, not {c.pointer_axis}")
     dec = qmath.herm_eig(c.observable)
-    columns = np.fft.ifft(np.fft.fft(grid.amplitudes) * _branch_phases(grid, c, dec.eigenvalues))
+    phase = _pointer.translation_phases(grid, c.strength * dec.eigenvalues, "device axis 1")
+    columns = np.fft.ifft(np.fft.fft(grid.amplitudes) * phase)
     u = dec.eigenvectors
     coeffs = u.conj().T @ s.amplitudes
     blocks = u.T[:, :, None] * coeffs[:, None, :]

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .errors import (
-    DimensionError,
-    GridExtentError,
-    NotHermitianError,
-    OrthogonalSelectionError,
-)
-from .pointer import SHIFT_GUARD_SIGMAS, PointerGrid, apply_momentum
+from .errors import DimensionError, OrthogonalSelectionError
+from .pointer import PointerGrid, apply_momentum, check_shift_reach
 
 # below this overlap the weak value is a pole, reported as an error
 ORTHOGONALITY_THRESHOLD = 1e-12
@@ -44,10 +39,7 @@ class WeakValueReport:
 
 
 def _inputs(a, initial, final):
-    m = qmath.operator(a)
-    defect = qmath.hermiticity_defect(m)
-    if defect > qmath.HERMITICITY_ACCURACY:
-        raise NotHermitianError(f"observable hermiticity defect {defect:.3e} exceeds 1e-10")
+    m = qmath.require_hermitian(a, what="observable")
     i_vec = qmath.ket(initial)
     f_vec = qmath.ket(final)
     if m.shape[0] != i_vec.size or i_vec.size != f_vec.size:
@@ -98,13 +90,6 @@ def im_weak_formula(a, initial, final) -> float:
     return num.imag / (2 * prob)
 
 
-def postselect_probability(initial, final) -> float:
-    """|<F|I>|^2 for normalized inputs."""
-    i_vec = qmath.ket(initial)
-    f_vec = qmath.ket(final)
-    return float(abs(np.vdot(f_vec, i_vec)) ** 2)
-
-
 def commutation_report(a, initial, final) -> WeakValueReport:
     """Full report: weak value, both readout formulas, commutation norms."""
     m, i_vec, f_vec = _inputs(a, initial, final)
@@ -141,12 +126,7 @@ def naive_device_state(a, initial, final, strength: float, p: PointerGrid) -> Po
     return.
     """
     aw = weak_value(a, initial, final)
-    reach = abs(strength * aw)
-    if reach + SHIFT_GUARD_SIGMAS * p.sigma > p.extent / 2:
-        raise GridExtentError(
-            f"displacement scale {reach} plus {SHIFT_GUARD_SIGMAS} sigma exceeds "
-            f"extent/2 = {p.extent / 2}"
-        )
+    check_shift_reach(abs(strength * aw), p.sigma, p.extent, "naive device state")
     amps = p.amplitudes - 1j * strength / p.hbar * aw * apply_momentum(p)
     amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2) * p.dx)
     return PointerGrid(p.n_points, p.extent, p.sigma, p.hbar, amps)
@@ -158,7 +138,6 @@ __all__ = [
     "weak_value",
     "re_weak_formula",
     "im_weak_formula",
-    "postselect_probability",
     "commutation_report",
     "naive_device_state",
 ]

@@ -140,6 +140,65 @@ class TestRun:
         assert [n for n in os.listdir(tmp_path) if n.startswith(".weakmeas-tmp-")] == []
 
 
+class TestPairedOutputs:
+    """--out and --dump-records are committed together, with plain-open modes."""
+
+    def test_failed_dump_leaves_out_untouched(self, tmp_path, raw, monkeypatch):
+        raw["run"].update(mode="sample-ideal", samples=2 * estimator.DUMP_BLOCK_ROWS)
+        real_dump = estimator.dump_records
+
+        def dump_one_block_then_fail(records, handle):
+            real_dump(records[:estimator.DUMP_BLOCK_ROWS], handle)
+            raise WeakmeasError("disk full")
+
+        monkeypatch.setattr(estimator, "dump_records", dump_one_block_then_fail)
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_bytes(b"old document\n")
+        argv = ["run", "--config", dump(tmp_path, raw), "--out", str(doc_path),
+                "--dump-records", str(tmp_path / "records.csv")]
+        assert cli.main(argv) == 3
+        assert doc_path.read_bytes() == b"old document\n"
+        assert not (tmp_path / "records.csv").exists()
+        assert [n for n in os.listdir(tmp_path) if n.startswith(".weakmeas-tmp-")] == []
+
+    @pytest.mark.parametrize("command, option", [
+        ("run", "--out"), ("run", "--dump-records"), ("sweep", "--out"),
+    ])
+    def test_unwritable_path_exits_three(self, tmp_path, raw, capsys, command, option):
+        raw["run"].update(mode="sample-ideal", samples=100)
+        bad = str(tmp_path / "missing" / "target.txt")
+        argv = [command, "--config", dump(tmp_path, raw), option, bad]
+        if command == "sweep":
+            argv += ["--param", "gA_tA", "--values", "0.05"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_output_mode_follows_umask(self, tmp_path, raw, umask, mode):
+        raw["run"].update(mode="sample-ideal", samples=100)
+        doc_path, rec_path = tmp_path / "doc.json", tmp_path / "rec.csv"
+        argv = ["run", "--config", dump(tmp_path, raw), "--out", str(doc_path),
+                "--dump-records", str(rec_path)]
+        old = os.umask(umask)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            os.umask(old)
+        assert [os.stat(p).st_mode & 0o777 for p in (doc_path, rec_path)] == [mode, mode]
+
+    @pytest.mark.parametrize("field, edit", [
+        ("pointer_A.extent", lambda raw: raw.update({"gA_tA": 14.0 + 4e-8})),
+        ("pointer_F.extent", lambda raw: raw.update({"gF_tF": 1.7 + 4e-9})),
+    ])
+    def test_wrapping_reach_exits_two(self, tmp_path, raw, capsys, field, edit):
+        # preset grids: A has sigma 1 and extent 40, F sigma 0.05 and extent 4
+        edit(raw)
+        assert cli.main(["run", "--config", dump(tmp_path, raw)]) == 2
+        assert field in capsys.readouterr().err
+
+
 class TestSeedPrecedence:
     def test_file_seed_is_default(self, tmp_path, raw, capsys):
         raw["run"]["samples"] = 2000
