@@ -119,14 +119,17 @@ def _atomic_files(paths):
         raise
 
 
-def _emit(text: str, out_path, records=None, dump_path=None) -> None:
-    """Write text to out_path, or stdout, and records to dump_path as one commit."""
+def _emit(out_path, render, dump_path=None) -> None:
+    """Write render(dump handle or None) to out_path, or stdout, as one commit.
+
+    Both files are opened before render runs, so a dump streams into its
+    temp file while the records are drawn.
+    """
     paths = [p for p in (out_path, dump_path) if p]
     with _atomic_files(paths) as handles:
+        text = render(handles[-1] if dump_path else None)
         if out_path:
             handles[0].write(text)
-        if dump_path:
-            estimator.dump_records(records, handles[-1])
     if not out_path:
         sys.stdout.write(text)
 
@@ -168,8 +171,12 @@ def _diagnostics_doc(sc: Scenario) -> dict:
     return doc
 
 
-def run_scenario(sc: Scenario, threads: int = 1):
-    """Dispatch one scenario; returns (document, records or None)."""
+def run_scenario(sc: Scenario, threads: int = 1, dump=None):
+    """Dispatch one scenario; returns (document, estimator.RunTotals or None).
+
+    A sampling run is reduced chunk by chunk and never held whole; dump,
+    a text handle, receives its records as CSV while they are drawn.
+    """
     mode = sc.run.mode
     if mode == "closed-form":
         return _report_doc(sc), None
@@ -178,11 +185,13 @@ def run_scenario(sc: Scenario, threads: int = 1):
     if mode == "diagnostics":
         return _diagnostics_doc(sc), None
     if mode == "sample-pointer":
-        records = estimator.sample_records(sc, sc.run.samples, threads=threads)
+        sampler = estimator.sample_records
     elif mode == "sample-ideal":
-        records = estimator.sample_ideal(sc, sc.run.samples, threads=threads)
+        sampler = estimator.sample_ideal
     else:
         raise ScenarioError(f"run.mode: unknown mode {mode!r}")
+    totals = estimator.RunTotals(sc.run.samples, dump=dump)
+    records = sampler(sc, sc.run.samples, threads=threads, sink=totals)
     return asdict(estimator.summarize(records, sc)), records
 
 
@@ -310,10 +319,13 @@ def _cmd_run(args) -> int:
     except WeakmeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+    def render(dump):
+        doc, _ = run_scenario(sc, threads=args.threads, dump=dump)
+        return canonical_dumps(doc) if args.format == "json" else _doc_to_csv(doc)
+
     try:
-        doc, records = run_scenario(sc, threads=args.threads)
-        text = canonical_dumps(doc) if args.format == "json" else _doc_to_csv(doc)
-        _emit(text, args.out, records, args.dump_records)
+        _emit(args.out, render, args.dump_records)
     except WeakmeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -335,8 +347,8 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        text = sweep_csv(sc, args.param, values, threads=args.threads, probes=probes)
-        _emit(text, args.out)
+        _emit(args.out, lambda _: sweep_csv(sc, args.param, values, threads=args.threads,
+                                            probes=probes))
     except WeakmeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -15,6 +15,7 @@ g_A t_A g_F t_F).
 """
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +34,10 @@ BOOST_IDENTITY_ACCURACY = 1e-12
 # per-write cost, small enough that a block's text stays near 150 kB
 DUMP_BLOCK_ROWS = 4096
 _DUMP_ROW = "%d,%.17g,%.17g,%d\n"
+# numpy's pairwise float sum: nodes longer than this split, shorter ones are
+# summed with PAIRWISE_UNROLL accumulators
+PAIRWISE_LEAF = 128
+PAIRWISE_UNROLL = 8
 
 
 class MeasurementRecord(NamedTuple):
@@ -45,15 +50,18 @@ class RecordBatch(Sequence):
     """Columnar sequence of MeasurementRecord.
 
     Behaves like a list of records for iteration and indexing while
-    keeping the three columns as flat arrays for fast reduction.
+    keeping the three columns as flat arrays for fast reduction.  start is
+    the global index of the first record; dump_records numbers rows from
+    it, so the dumps of consecutive segments concatenate to one dump.
     """
 
-    __slots__ = ("value_A", "value_F", "selected")
+    __slots__ = ("value_A", "value_F", "selected", "start")
 
-    def __init__(self, value_A, value_F, selected):
+    def __init__(self, value_A, value_F, selected, start: int = 0):
         self.value_A = np.asarray(value_A, dtype=float)
         self.value_F = np.asarray(value_F, dtype=float)
         self.selected = np.asarray(selected, dtype=bool)
+        self.start = start
         if not self.value_A.shape == self.value_F.shape == self.selected.shape:
             raise ValueError("record columns must have equal length")
 
@@ -62,7 +70,10 @@ class RecordBatch(Sequence):
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return RecordBatch(self.value_A[key], self.value_F[key], self.selected[key])
+            # a strided slice is no run of consecutive records: it numbers from 0
+            rows = range(len(self))[key]
+            start = self.start + rows.start if rows.step == 1 else 0
+            return RecordBatch(self.value_A[key], self.value_F[key], self.selected[key], start)
         return MeasurementRecord(
             float(self.value_A[key]), float(self.value_F[key]), bool(self.selected[key])
         )
@@ -111,20 +122,138 @@ def _chunk_plan(start: int, n: int):
         lo += row_hi - row_lo
 
 
-def _run_chunks(worker, start: int, n: int, threads: int):
+class _Collector:
+    """Chunk sink that fills preallocated columns, for a RecordBatch result."""
+
+    def __init__(self, start: int, n: int):
+        self.batch = RecordBatch(np.empty(n), np.empty(n), np.empty(n, dtype=bool), start)
+        self._filled = 0
+
+    def add(self, xa, xf, sel):
+        lo, hi = self._filled, self._filled + xa.size
+        self.batch.value_A[lo:hi] = xa
+        self.batch.value_F[lo:hi] = xf
+        self.batch.selected[lo:hi] = sel
+        self._filled = hi
+
+
+class PairwiseSum:
+    """np.add.reduce of n float64 values that arrive in pieces, bit for bit.
+
+    numpy sums a contiguous array along a tree fixed by n alone: a node
+    longer than PAIRWISE_LEAF splits after half its length rounded down to
+    a multiple of PAIRWISE_UNROLL, and a leaf is summed with that many
+    accumulators.  Every node is therefore np.add.reduce of its own slice.
+    Nodes that lie inside one piece are reduced there, the one leaf that
+    straddles a piece boundary is carried into the next piece, and the node
+    sums are added in tree order.  The property test against np.add.reduce
+    guards this against a numpy that changes its tree.
+    """
+
+    def __init__(self, n: int):
+        # nodes still to sum, the next on top; None adds the two sums on top
+        self._todo = [(0, n)] if n else []
+        self._sums = []
+        self._carry = []  # the straddling leaf's values seen so far
+        self._seen = 0
+
+    def add(self, values: np.ndarray) -> None:
+        lo, hi = self._seen, self._seen + values.size
+        todo, sums = self._todo, self._sums
+        while todo:
+            node = todo[-1]
+            if node is None:
+                todo.pop()
+                right = sums.pop()
+                sums[-1] += right
+                continue
+            start, size = node
+            end = start + size
+            if start >= hi:
+                break
+            if start < lo or (end > hi and size <= PAIRWISE_LEAF):
+                self._carry.append(values[max(start, lo) - lo:min(end, hi) - lo].copy())
+                if end > hi:
+                    break
+                todo.pop()
+                sums.append(float(np.add.reduce(np.concatenate(self._carry))))
+                self._carry = []
+            elif end <= hi:
+                todo.pop()
+                sums.append(float(np.add.reduce(values[start - lo:end - lo])))
+            else:
+                todo.pop()
+                half = size // 2
+                half -= half % PAIRWISE_UNROLL
+                todo += [None, (start + half, size - half), (start, half)]
+        self._seen = hi
+
+    @property
+    def total(self) -> float:
+        if self._todo:
+            raise ValueError("pairwise sum is missing values")
+        return self._sums[0] if self._sums else 0.0
+
+
+class RunTotals:
+    """Chunk sink that keeps only what summarize needs from a sampling run.
+
+    Per record it keeps the selected flag (1 byte) and, for selected
+    records, value_A (8 bytes); sum(value_A * selected) and sum(value_F)
+    are streamed bit for bit as np.add.reduce gives them.  Given a dump
+    handle, it also writes each chunk there through dump_records, rows
+    numbered from 0.  Like a RecordBatch it has a length and a selected
+    column.
+    """
+
+    def __init__(self, n: int, dump=None):
+        self.selected = np.empty(n, dtype=bool)
+        self._selected_a = []
+        self.sum_af = PairwiseSum(n)
+        self.sum_f = PairwiseSum(n)
+        self._dump = dump
+        self._filled = 0
+
+    def __len__(self):
+        return self.selected.size
+
+    def add(self, xa, xf, sel):
+        lo, hi = self._filled, self._filled + xa.size
+        self.selected[lo:hi] = sel
+        self._selected_a.append(xa[sel])
+        self.sum_af.add(xa * sel.astype(float))
+        self.sum_f.add(xf)
+        if self._dump is not None:
+            dump_records(RecordBatch(xa, xf, sel, lo), self._dump)
+        self._filled = hi
+
+    def selected_a(self) -> np.ndarray:
+        return np.concatenate(self._selected_a) if self._selected_a else np.empty(0)
+
+
+def _run_chunks(worker, start: int, n: int, threads: int, sink=None):
+    """Hand each chunk's (xa, xf, sel) to sink.add in index order; return the sink.
+
+    With threads > 1 at most 2 * threads chunks are drawn but not yet
+    consumed.  Without a sink the chunks fill a RecordBatch, which is
+    returned instead.
+    """
+    target = _Collector(start, n) if sink is None else sink
+    add = target.add
     plan = list(_chunk_plan(start, n))
     if threads > 1 and len(plan) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda args: worker(*args), plan))
+            pending = deque()
+            for args in plan:
+                if len(pending) == 2 * threads:
+                    add(*pending.popleft().result())
+                pending.append(pool.submit(worker, *args))
+            while pending:
+                add(*pending.popleft().result())
     else:
-        parts = [worker(*args) for args in plan]
-    if not parts:
-        return RecordBatch([], [], [])
-    return RecordBatch(
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
+        for args in plan:
+            add(*worker(*args))
+    return target.batch if sink is None else sink
 
 
 def after_a_coupling(sc: Scenario) -> vonneumann.JointState:
@@ -166,10 +295,12 @@ def _readout_axis(sc: Scenario, state: vonneumann.FactoredState):
 
 
 def _cell_cdf(weights: np.ndarray) -> np.ndarray:
+    """Normalised cumulative weights, computed in place: weights becomes the CDF."""
     total = float(weights.sum())
     if total <= 0:
         raise EmptyPostSelectionError("readout density has no mass")
-    cdf = np.cumsum(weights / total)
+    weights /= total
+    cdf = np.cumsum(weights, out=weights)
     cdf[-1] = 1.0
     return cdf
 
@@ -179,19 +310,25 @@ def _draw_cells(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 
-def sample_records(sc: Scenario, n: int, seed=None, threads: int = 1, start: int = 0) -> RecordBatch:
+def sample_records(sc: Scenario, n: int, seed=None, threads: int = 1, start: int = 0,
+                   sink=None):
     """Draw joint readouts with global indices [start, start+n).
 
     Inverse-CDF over the flattened grid cells with uniform jitter inside
     each cell; selected = (value_F > threshold).  Record k is a function
     of (scenario, seed, k) alone, so a run can be split into segments or
-    spread over threads without changing a single draw.
+    spread over threads without changing a single draw.  Returns a
+    RecordBatch, or, given a sink such as RunTotals, feeds it the chunks
+    in order and returns it.
     """
     if seed is None:
         seed = sc.run.seed
     state = coupled_state(sc)
     density, vals_a, step_a, vals_f, step_f = _readout_axis(sc, state)
-    cdf = _cell_cdf(density.ravel() * (step_a * step_f))
+    weights = density.ravel()
+    del density  # the CDF overwrites the only n_A * n_F buffer
+    weights *= step_a * step_f
+    cdf = _cell_cdf(weights)
     n_cols = vals_f.size
     threshold = sc.run.threshold
 
@@ -202,15 +339,15 @@ def sample_records(sc: Scenario, n: int, seed=None, threads: int = 1, start: int
         xf = vals_f[col] + (u[:, 2] - 0.5) * step_f
         return xa, xf, xf > threshold
 
-    return _run_chunks(worker, start, n, threads)
+    return _run_chunks(worker, start, n, threads, sink)
 
 
-def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int = 0) -> RecordBatch:
+def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int = 0, sink=None):
     """Born-rule cross-check: project the system onto F after the A coupling.
 
     value_F is exactly 1 (projection succeeded) or 0; value_A is drawn
-    from the matching conditional device density.  Randomness contract as
-    in sample_records.
+    from the matching conditional device density.  Randomness contract
+    and sink as in sample_records.
     """
     if seed is None:
         seed = sc.run.seed
@@ -245,7 +382,7 @@ def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int =
         xf = np.where(chose_f, 1.0, 0.0)
         return xa, xf, xf > threshold
 
-    return _run_chunks(worker, start, n, threads)
+    return _run_chunks(worker, start, n, threads, sink)
 
 
 def _columns(records) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,23 +405,29 @@ def _readout_prefactor(sc: Scenario) -> float:
 def summarize(records, sc: Scenario) -> RunSummary:
     """Reduce records to the post-selected estimate and its bookkeeping.
 
-    The product statistics (mean_all_AF, boost) use the binarized X_F,
-    the level at which the boost identity is exact; mean_F_raw keeps the
-    raw readout average for comparison with the continuous mean.
+    records is a RunTotals a sampler has filled, or any records, which
+    are reduced through one here.  The product statistics (mean_all_AF,
+    boost) use the binarized X_F, the level at which the boost identity
+    is exact; mean_F_raw keeps the raw readout average for comparison
+    with the continuous mean.  Every mean is np.mean's: its sum over n.
     """
-    xa, xf, sel = _columns(records)
-    n_total = int(xa.size)
-    n_selected = int(np.count_nonzero(sel))
+    totals = records
+    if not isinstance(totals, RunTotals):
+        xa, xf, sel = _columns(records)
+        totals = RunTotals(xa.size)
+        totals.add(xa, xf, sel)
+    n_total = len(totals)
+    n_selected = int(np.count_nonzero(totals.selected))
     if n_selected == 0:
         raise EmptyPostSelectionError(
             f"no record passed post-selection out of {n_total}"
         )
-    binary = sel.astype(float)
-    mean_all_af = float(np.mean(xa * binary))
-    mean_selected_a = float(np.mean(xa[sel]))
+    selected_a = totals.selected_a()
+    mean_all_af = totals.sum_af.total / n_total
+    mean_selected_a = float(np.mean(selected_a))
     prefactor = _readout_prefactor(sc)
     if n_selected >= 2:
-        spread = float(np.std(xa[sel], ddof=1)) / np.sqrt(n_selected)
+        spread = float(np.std(selected_a, ddof=1)) / np.sqrt(n_selected)
         std_error = abs(prefactor) * spread
     else:
         std_error = float("nan")
@@ -293,8 +436,8 @@ def summarize(records, sc: Scenario) -> RunSummary:
         n_total=n_total,
         n_selected=n_selected,
         mean_all_AF=mean_all_af,
-        mean_F=float(np.mean(binary)),
-        mean_F_raw=float(np.mean(xf)),
+        mean_F=n_selected / n_total,
+        mean_F_raw=totals.sum_f.total / n_total,
         mean_selected_A=mean_selected_a,
         boost=boost,
         estimate=prefactor * mean_selected_a,
@@ -324,17 +467,21 @@ def dump_records(records, handle) -> None:
     """Write records as CSV: index,value_A,value_F,selected.
 
     Floats carry 17 significant digits; selected is 1 or 0.  Rows are
-    formatted and written DUMP_BLOCK_ROWS at a time, so a long dump
-    streams into handle without being held in memory whole.
+    numbered from records.start (0 for a plain sequence), and the header
+    precedes row 0 only, so a run dumped chunk by chunk reads as one file.
+    Rows are formatted and written DUMP_BLOCK_ROWS at a time, so a long
+    dump streams into handle without being held in memory whole.
     """
     xa, xf, sel = _columns(records)
-    handle.write("index,value_A,value_F,selected\n")
+    start = getattr(records, "start", 0)
+    if start == 0:
+        handle.write("index,value_A,value_F,selected\n")
     for lo in range(0, xa.size, DUMP_BLOCK_ROWS):
         hi = min(lo + DUMP_BLOCK_ROWS, xa.size)
         # one %-format over the interleaved block; '%.17g' of a Python
         # float spells every value as format(value, '.17g') does
         cells = [None] * (4 * (hi - lo))
-        cells[0::4] = range(lo, hi)
+        cells[0::4] = range(start + lo, start + hi)
         cells[1::4] = xa[lo:hi].tolist()
         cells[2::4] = xf[lo:hi].tolist()
         cells[3::4] = sel[lo:hi].tolist()

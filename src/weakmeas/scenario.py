@@ -29,6 +29,10 @@ READOUTS = ("position", "momentum")
 # scenario-level hermiticity gate, tighter than the library default
 A_HERMITICITY_ACCURACY = 1e-12
 
+TOP_LEVEL_KEYS = ("system_dim", "A_matrix", "I_vector", "F_vector", "gA_tA", "gF_tF",
+                  "hbar", "pointer_A", "pointer_F", "run")
+POINTER_KEYS = ("sigma", "n_points", "extent")
+
 
 @dataclass(frozen=True)
 class PointerSettings:
@@ -114,6 +118,14 @@ def _require(raw: dict, key: str, where: str = ""):
     return raw[key]
 
 
+def _reject_unknown(raw: dict, known, where: str = "") -> None:
+    # a misspelt block would otherwise load silently with every default
+    for key in raw:
+        if key not in known:
+            name = f"{where}.{key}" if where else repr(key)
+            raise ScenarioError(f"unknown field {name}; expected one of {', '.join(known)}")
+
+
 def _finite_real(value, where: str) -> float:
     if not _is_real(value) or not math.isfinite(value):
         raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
@@ -129,6 +141,7 @@ def _positive_real(value, where: str) -> float:
 def _parse_pointer(raw, where: str) -> PointerSettings:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object with sigma, n_points, extent")
+    _reject_unknown(raw, POINTER_KEYS, where)
     sigma = _positive_real(_require(raw, "sigma", where), f"{where}.sigma")
     n_points = _require(raw, "n_points", where)
     if not _is_int(n_points) or n_points < 2 or n_points & (n_points - 1):
@@ -203,6 +216,7 @@ def from_dict(raw: dict) -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    _reject_unknown(raw, TOP_LEVEL_KEYS)
     system_dim = _require(raw, "system_dim")
     if not _is_int(system_dim) or system_dim < 2:
         raise ScenarioError(f"system_dim: expected an integer >= 2, got {system_dim!r}")

@@ -362,6 +362,18 @@ class TestExitCodes:
         assert code == 2
         assert "A_matrix" in err
 
+    @pytest.mark.parametrize("typo, named", [("Run", "'Run'"), ("n_pointz", "pointer_A.n_pointz")])
+    def test_unknown_key_exits_two(self, tmp_path, raw, capsys, typo, named):
+        # each typo alone used to load as closed-form with every default and exit 0
+        if typo == "Run":
+            raw["Run"] = raw.pop("run")
+        else:
+            raw["pointer_A"][typo] = 256
+        assert cli.main(["run", "--config", dump(tmp_path, raw)]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
     def test_unknown_sweep_param(self, tmp_path, raw, capsys):
         code = cli.main(
             [
@@ -387,6 +399,15 @@ class TestExitCodes:
         )
         assert code == 3
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("mode", ["sample-pointer", "sample-ideal"])
+    def test_zero_samples_is_runtime_error(self, tmp_path, raw, capsys, mode):
+        raw["run"].update(mode=mode, samples=0)
+        argv = ["run", "--config", dump(tmp_path, raw), "--dump-records",
+                str(tmp_path / "rec.csv")]
+        assert cli.main(argv) == 3
+        assert "out of 0" in capsys.readouterr().err
+        assert not (tmp_path / "rec.csv").exists()
 
     def test_dump_records_needs_sampling_mode(self, tmp_path, raw, capsys):
         raw["run"]["mode"] = "exact-moments"
@@ -495,6 +516,34 @@ def test_sampling_bytes_pinned(tmp_path, case):
     assert cli.main(argv) == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (doc_path, rec_path))
     assert digests == PINNED_SHA256[case]
+
+
+# the same digests at 200,000 samples: three full CHUNK_SIZE chunks plus a
+# 3,392-row tail, so the streamed sums and the dump cross chunk boundaries
+MULTI_CHUNK_SHA256 = {
+    ("qubit-theta30", "position", "sample-pointer"): (
+        "cc8c73bdd11022faba475ab9a1b47a0cb583287ef35730304ab5e450326b6856",
+        "2d3fd87f3d0910c600b8374eb6900591a356d8d181fef2c2f2a5adea3f767aab",
+    ),
+    ("imaginary-sigma-x", "momentum", "sample-ideal"): (
+        "03b68bea5368027f50fd79f7a2ab11e6a1c41c0a75d206cf468d0b8feef21394",
+        "a7233f352c29010d6dee9c484b8c782150bda249f0e67924ed5d75beaffd0aaa",
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(MULTI_CHUNK_SHA256), ids="-".join)
+def test_multi_chunk_bytes_pinned(tmp_path, case, threads):
+    name, readout, mode = case
+    raw = scenario.to_dict(scenario.preset(name))
+    raw["run"].update(mode=mode, readout=readout, samples=200000)
+    doc_path, rec_path = tmp_path / "doc.json", tmp_path / "rec.csv"
+    argv = ["run", "--config", dump(tmp_path, raw), "--threads", threads,
+            "--out", str(doc_path), "--dump-records", str(rec_path)]
+    assert cli.main(argv) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (doc_path, rec_path))
+    assert digests == MULTI_CHUNK_SHA256[case]
 
 
 class TestPresetsCommand:

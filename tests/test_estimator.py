@@ -1,12 +1,15 @@
 """Sampling determinism, post-selection bookkeeping, boost identity, estimates."""
 import io
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weakmeas import estimator, scenario
+from weakmeas import cli, estimator, scenario
 from weakmeas.errors import EmptyPostSelectionError
 from weakmeas.estimator import MeasurementRecord, RecordBatch
 
@@ -344,3 +347,117 @@ class TestBlockWriter:
         dump_matching_reference(
             [MeasurementRecord(v, -v, k % 2 == 0) for k, v in enumerate(EDGE_VALUES)]
         )
+
+
+def sum_bits(value) -> int:
+    return int(np.array(value, dtype=np.float64).view(np.uint64))
+
+
+def order_sensitive_values(rng, n):
+    # magnitudes over 16 decades make every summation order round differently;
+    # the selection product adds the signed zeros of unselected records
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    return values * (rng.random(n) < 0.75)
+
+
+def streamed_sum(values, sizes):
+    acc = estimator.PairwiseSum(values.size)
+    lo = 0
+    for size in sizes:
+        acc.add(values[lo:lo + size])
+        lo += size
+    assert lo == values.size
+    return acc.total
+
+
+def random_split(rng, n, pieces):
+    cuts = np.sort(rng.integers(0, n + 1, pieces - 1)) if n else np.zeros(pieces - 1, int)
+    return np.diff(np.concatenate([[0], cuts, [n]])).tolist()
+
+
+class TestPairwiseSum:
+    """The streamed sum must equal np.add.reduce bit for bit.
+
+    If a numpy release changes its summation tree this fails first; the fix
+    belongs in PairwiseSum, never in these checks.
+    """
+
+    C = estimator.CHUNK_SIZE
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 7, 8, 9, 16, 127, 128, 129, 136, 257, 1000,
+                                   C - 1, C, C + 1, 200000, 1000000])
+    def test_matches_add_reduce(self, n):
+        rng = np.random.default_rng([1604, n])
+        values = order_sensitive_values(rng, n)
+        want = sum_bits(np.add.reduce(values))
+        if n >= 1000:
+            # the data can tell summation orders apart
+            assert sum_bits(np.cumsum(values)[-1]) != want
+        assert sum_bits(streamed_sum(values, [n])) == want
+        for pieces in (2, 3, 17):
+            assert sum_bits(streamed_sum(values, random_split(rng, n, pieces))) == want
+        for start in (0, 1, 8, self.C - 129, int(rng.integers(0, 10 * self.C))):
+            sizes = [hi - lo for _, lo, hi in estimator._chunk_plan(start, n)]
+            assert sum_bits(streamed_sum(values, sizes)) == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 3000), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_random_lengths_and_splits(self, n, pieces, seed):
+        rng = np.random.default_rng(seed)
+        values = order_sensitive_values(rng, n)
+        got = streamed_sum(values, random_split(rng, n, pieces))
+        assert sum_bits(got) == sum_bits(np.add.reduce(values))
+
+    def test_signed_zero_total(self):
+        values = np.full(300, -0.0)
+        assert sum_bits(streamed_sum(values, [100, 200])) == sum_bits(np.add.reduce(values))
+
+    def test_missing_values_raise(self):
+        acc = estimator.PairwiseSum(10)
+        acc.add(np.ones(9))
+        with pytest.raises(ValueError):
+            acc.total
+
+
+class TestStreamedRun:
+    def test_totals_match_record_batch(self, theta30):
+        n = 3 * estimator.CHUNK_SIZE + 17
+        batch = estimator.summarize(estimator.sample_records(theta30, n), theta30)
+        totals = estimator.sample_records(theta30, n, sink=estimator.RunTotals(n))
+        assert len(totals) == n
+        assert estimator.summarize(totals, theta30) == batch
+
+    def test_thread_window(self, imaginary, monkeypatch):
+        # chunks drawn but not yet consumed never exceed 2 * threads
+        lock, state = threading.Lock(), {"drawn": 0, "used": 0, "peak": 0}
+        real_block, real_add = estimator._uniform_block, estimator.RunTotals.add
+
+        def counted_block(*args):
+            with lock:
+                state["drawn"] += 1
+                state["peak"] = max(state["peak"], state["drawn"] - state["used"])
+            return real_block(*args)
+
+        def slow_add(self, *columns):
+            time.sleep(0.01)  # a slow consumer lets the workers run ahead
+            with lock:
+                state["used"] += 1
+            real_add(self, *columns)
+
+        monkeypatch.setattr(estimator, "_uniform_block", counted_block)
+        monkeypatch.setattr(estimator.RunTotals, "add", slow_add)
+        raw = scenario.to_dict(imaginary)
+        raw["run"].update(mode="sample-ideal", samples=10 * estimator.CHUNK_SIZE)
+        sc = scenario.from_dict(raw)
+        doc, _ = cli.run_scenario(sc, threads=2)
+        assert doc["n_total"] == 10 * estimator.CHUNK_SIZE
+        assert state["drawn"] == state["used"] == 10
+        assert state["peak"] <= 4
+
+    def test_segment_dumps_concatenate(self, theta30):
+        whole, head, tail = io.StringIO(), io.StringIO(), io.StringIO()
+        estimator.dump_records(estimator.sample_records(theta30, 5000), whole)
+        estimator.dump_records(estimator.sample_records(theta30, 3000), head)
+        estimator.dump_records(estimator.sample_records(theta30, 2000, start=3000), tail)
+        assert head.getvalue() + tail.getvalue() == whole.getvalue()
+        assert estimator.sample_records(theta30, 10, start=7)[2:5].start == 9

@@ -154,6 +154,19 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="walkers"):
             scenario.from_dict(raw)
 
+    def test_misspelt_run_block_rejected(self):
+        raw = base_dict()
+        raw["Run"] = raw.pop("run")
+        with pytest.raises(ScenarioError, match="'Run'"):
+            scenario.from_dict(raw)
+
+    @pytest.mark.parametrize("block", ["pointer_A", "pointer_F"])
+    def test_unknown_pointer_key_rejected(self, block):
+        raw = base_dict()
+        raw[block]["n_pointz"] = 256
+        with pytest.raises(ScenarioError, match=f"{block}.n_pointz"):
+            scenario.from_dict(raw)
+
     def test_zero_couplings_named(self):
         for key in ("gA_tA", "gF_tF"):
             raw = base_dict()
