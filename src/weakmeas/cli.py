@@ -255,14 +255,14 @@ def sweep_csv(sc: Scenario, param: str, values, threads: int = 1, probes=None) -
 def _resolve_seed(args, sc: Scenario) -> Scenario:
     # precedence: --seed flag, then the environment, then the file
     if getattr(args, "seed", None) is not None:
-        return scenario_mod.with_seed(sc, args.seed)
+        return scenario_mod.with_seed(sc, args.seed, "--seed")
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
             seed = int(env)
         except ValueError:
             raise ScenarioError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-        return scenario_mod.with_seed(sc, seed)
+        return scenario_mod.with_seed(sc, seed, SEED_ENV_VAR)
     return sc
 
 

@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import qmath
 from .errors import DimensionError
 from .vonneumann import FactoredState, State, mean_pointer, position_correlation
 
@@ -59,7 +60,7 @@ def _cut_matrix(s: State, bipartition: str) -> np.ndarray:
 def product_check(s: State, bipartition: str = "system") -> SeparabilityReport:
     """Schmidt test of one cut: product iff a single singular value survives."""
     matrix = _cut_matrix(s, bipartition)
-    values = np.linalg.svd(matrix, compute_uv=False)
+    values = qmath.schmidt(matrix.ravel(), *matrix.shape)
     scale = np.linalg.norm(values)
     if scale == 0.0:
         raise DimensionError("cannot test a zero state for separability")

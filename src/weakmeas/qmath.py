@@ -41,10 +41,6 @@ def operator(entries) -> np.ndarray:
     return m
 
 
-def dagger(m) -> np.ndarray:
-    return np.conj(np.asarray(m, dtype=complex)).T
-
-
 def normalize(psi) -> np.ndarray:
     v = ket(psi)
     n = np.linalg.norm(v)
@@ -62,15 +58,10 @@ def require_normalized(psi, tol: float, what: str = "state") -> np.ndarray:
     return v
 
 
-def hermiticity_defect(m) -> float:
-    m = operator(m)
-    return float(np.max(np.abs(m - dagger(m))))
-
-
 def require_hermitian(m, tol: float = HERMITICITY_ACCURACY, what: str = "operator") -> np.ndarray:
     """Return m as an operator, raising NotHermitianError when its defect exceeds tol."""
     m = operator(m)
-    defect = hermiticity_defect(m)
+    defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > tol:
         raise NotHermitianError(f"{what}: hermiticity defect {defect:.3e} exceeds {tol:.0e}")
     return m

@@ -150,6 +150,12 @@ def _parse_pointer(raw, where: str) -> PointerSettings:
     return PointerSettings(sigma=sigma, n_points=n_points, extent=extent)
 
 
+def _check_seed(seed, where: str) -> int:
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ScenarioError(f"{where}: expected a 64-bit unsigned integer, got {seed!r}")
+    return seed
+
+
 def _parse_run(raw, gf_tf: float) -> RunSettings:
     if not isinstance(raw, (dict, type(None))):
         raise ScenarioError(f"run: expected an object, got {raw!r}")
@@ -163,9 +169,7 @@ def _parse_run(raw, gf_tf: float) -> RunSettings:
     samples = raw.pop("samples", 100000)
     if not _is_int(samples) or samples < 0:
         raise ScenarioError(f"run.samples: expected a nonnegative integer, got {samples!r}")
-    seed = raw.pop("seed", 0)
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        raise ScenarioError(f"run.seed: expected a 64-bit unsigned integer, got {seed!r}")
+    seed = _check_seed(raw.pop("seed", 0), "run.seed")
     threshold = _finite_real(raw.pop("threshold", 0.5 * gf_tf), "run.threshold")
     if raw:
         raise ScenarioError(f"run: unknown fields {sorted(raw)}")
@@ -270,8 +274,9 @@ def load_scenario(path) -> Scenario:
     return from_dict(raw)
 
 
-def with_seed(sc: Scenario, seed: int) -> Scenario:
-    return replace(sc, run=replace(sc.run, seed=seed))
+def with_seed(sc: Scenario, seed: int, where: str = "seed") -> Scenario:
+    """sc with another run seed; a bad seed raises ScenarioError naming where."""
+    return replace(sc, run=replace(sc.run, seed=_check_seed(seed, where)))
 
 
 _SQ3 = math.sqrt(3.0)

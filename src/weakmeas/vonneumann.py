@@ -13,9 +13,10 @@ A state comes in one of two forms:
   coupling is a displacement, the result is exactly
   Psi(s, x_1, x_2) = sum_k C_k(s, x_1) phi_k(x_2): C_k = u_k u_k^H psi is
   eigenbranch k of the second observable and phi_k the fresh pointer
-  shifted by strength*lambda_k.  The d x n_1 x n_2 tensor is never formed;
-  densities are Gram contractions of rank <= K^2 and moments reduce each
-  factor on its own.
+  shifted by strength*lambda_k.  The d x n_1 x n_2 tensor is never formed:
+  the blocks are orthogonal in the system index, so the joint density is
+  the K-term branch mixture sum_k g_k(x_1) h_k(x_2), the Born rule over
+  the second observable's branches, and every reader sums over (g, h).
 
 Every reader below (device_density, device_momentum_density, mean_pointer,
 position_correlation) accepts both forms.  The full device density matrix
@@ -34,6 +35,8 @@ from . import pointer as _pointer
 from . import qmath
 from .errors import DimensionError, MissingAxisError
 from .pointer import PointerGrid
+
+BRANCH_OVERLAP_ACCURACY = 1e-12  # FactoredState's cross/diagonal branch term bound
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,8 @@ class FactoredState(_DeviceAxes):
     """Two-device state sum_k blocks[k](s, x_1) columns[k](x_2), never expanded.
 
     blocks has shape K x d x n_1 and columns K x n_2; K is the number of
-    eigenbranches of the observable coupled to the second device.
+    eigenbranches of the observable coupled to the second device.  Blocks
+    that overlap in the system index are rejected.
     """
 
     system_dim: int
@@ -126,6 +130,13 @@ class FactoredState(_DeviceAxes):
             raise DimensionError(f"blocks shape {blocks.shape} does not fit K x d x n_1")
         if columns.shape != (k, pts[1].n_points):
             raise DimensionError(f"columns shape {columns.shape}, expected {(k, pts[1].n_points)}")
+        # the readers' branch mixture is exact only for blocks orthogonal in s
+        diagonal = float(np.max(_abs2(blocks).sum(axis=1), initial=0.0))
+        cross = max((float(np.max(np.abs(np.einsum("sx,sx->x", a.conj(), b))))
+                     for i, a in enumerate(blocks) for b in blocks[i + 1:]), default=0.0)
+        if cross > BRANCH_OVERLAP_ACCURACY * diagonal:
+            raise DimensionError(f"blocks overlap in the system index: cross term {cross:.3g} "
+                                 f"exceeds {BRANCH_OVERLAP_ACCURACY:g} x diagonal {diagonal:.3g}")
         blocks.setflags(write=False)
         columns.setflags(write=False)
         object.__setattr__(self, "pointers", pts)
@@ -139,6 +150,10 @@ class FactoredState(_DeviceAxes):
 
 
 State = Union[JointState, FactoredState]
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real ** 2 + z.imag ** 2
 
 
 def total_norm(s: State) -> float:
@@ -239,25 +254,14 @@ def _require_two_axes(s: State) -> None:
         raise MissingAxisError(f"need two device axes, state has {len(s.pointers)}")
 
 
-# Factored readers.  With G_kl(x_1) = sum_s conj(C_k) C_l (the Gram block,
-# n_1 x K^2) and H_kl(x_2) = conj(phi_k) phi_l (the column block,
-# K^2 x n_2), the joint density is P(x_1, x_2) = sum_kl G_kl H_kl; both
-# blocks are Hermitian in (k, l), so the sum is real.  attach_exact's
-# blocks are orthogonal in s, so its cross terms are rounding-sized
-# against the nonnegative diagonal and P stays a valid sampling weight.
+# Factored readers.  The blocks are orthogonal in s, so the cross terms
+# sum_s conj(C_k) C_l vanish and the joint density is the branch mixture
+# P(x_1, x_2) = sum_k g_k(x_1) h_k(x_2), with g K x n_1 and h K x n_2.
 
-def _gram(blocks: np.ndarray) -> np.ndarray:
-    k = blocks.shape[0]
-    return np.einsum("ksx,lsx->xkl", blocks.conj(), blocks).reshape(-1, k * k)
-
-
-def _column_products(columns: np.ndarray) -> np.ndarray:
-    return (columns.conj()[:, None, :] * columns[None, :, :]).reshape(-1, columns.shape[1])
-
-
-def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(a @ b) as one real matmul over the stacked real and imaginary parts."""
-    return np.concatenate([a.real, -a.imag], axis=-1) @ np.concatenate([b.real, b.imag], axis=0)
+def _branch_weights(s: FactoredState, momentum: bool = False):
+    """(g, h): g_k = sum_s |C_k|^2 over x_1 (or pi_1), h_k = |phi_k|^2 over x_2."""
+    blocks = _pointer.momentum_amplitudes(s.blocks, s.pointers[0]) if momentum else s.blocks
+    return _abs2(blocks).sum(axis=1), _abs2(s.columns)
 
 
 def _marginal(s: State, axis: int) -> np.ndarray:
@@ -265,10 +269,8 @@ def _marginal(s: State, axis: int) -> np.ndarray:
     if not 0 <= axis < len(s.pointers):
         raise MissingAxisError(f"axis {axis} not present ({len(s.pointers)} device axes)")
     if isinstance(s, FactoredState):
-        gram, cols = _gram(s.blocks), _column_products(s.columns)
-        if axis == 0:
-            return _real_product(gram, cols.sum(axis=1))
-        return _real_product(gram.sum(axis=0), cols)
+        g, h = _branch_weights(s)
+        return h.sum(axis=1) @ g if axis == 0 else g.sum(axis=1) @ h
     marginal = np.sum(np.abs(s.amplitudes) ** 2, axis=0)
     other = tuple(i for i in range(len(s.pointers)) if i != axis)
     return marginal.sum(axis=other)
@@ -282,7 +284,8 @@ def device_density(s: State) -> np.ndarray:
     """
     _require_two_axes(s)
     if isinstance(s, FactoredState):
-        return _real_product(_gram(s.blocks), _column_products(s.columns))
+        g, h = _branch_weights(s)
+        return g.T @ h
     return np.sum(np.abs(s.amplitudes) ** 2, axis=0)
 
 
@@ -296,8 +299,8 @@ def device_momentum_density(s: State) -> np.ndarray:
     _require_two_axes(s)
     grid = s.pointers[0]
     if isinstance(s, FactoredState):
-        blocks = _pointer.momentum_amplitudes(s.blocks, grid)
-        return _real_product(_gram(blocks), _column_products(s.columns))
+        g, h = _branch_weights(s, momentum=True)
+        return g.T @ h
     ft = _pointer.momentum_amplitudes(s.amplitudes, grid, axis=1)
     return np.sum(np.abs(ft) ** 2, axis=0)
 
@@ -314,7 +317,7 @@ def position_correlation(s: State) -> float:
     x1 = s.pointers[0].positions
     x2 = s.pointers[1].positions
     if isinstance(s, FactoredState):
-        moment = _real_product(x1 @ _gram(s.blocks), _column_products(s.columns) @ x2)
-        return float(moment * s.measure)
+        g, h = _branch_weights(s)
+        return float((g @ x1) @ (h @ x2) * s.measure)
     p = device_density(s)
     return float(np.einsum("ab,a,b->", p, x1, x2) * s.measure)

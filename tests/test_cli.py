@@ -226,6 +226,21 @@ class TestSeedPrecedence:
         assert code == 2
         assert cli.SEED_ENV_VAR in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_flag_seed_exits_two(self, tmp_path, raw, capsys, seed):
+        code = cli.main(["run", "--config", dump(tmp_path, raw), "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--seed" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_bad_env_seed_exits_two(self, tmp_path, raw, capsys, monkeypatch, seed):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+        code = cli.main(["run", "--config", dump(tmp_path, raw)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert cli.SEED_ENV_VAR in captured.err and "Traceback" not in captured.err
+
 
 class TestSweep:
     def test_theta_formula_column(self, tmp_path, raw, capsys):

@@ -332,6 +332,12 @@ class TestFactoredMatchesDense:
         want = entanglement.product_check(dense, "system").singular_values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_densities_nonnegative(self, pair):
+        # _cell_cdf needs a nonnegative weight in every cell
+        factored, _ = pair
+        assert np.min(vonneumann.device_density(factored)) >= 0.0
+        assert np.min(vonneumann.device_momentum_density(factored)) >= 0.0
+
     def test_never_holds_the_joint_tensor(self, pair):
         factored, dense = pair
         assert not hasattr(factored, "amplitudes")
@@ -339,13 +345,14 @@ class TestFactoredMatchesDense:
 
 
 def test_readers_keep_cross_branch_terms():
-    # attach_exact's blocks are orthogonal in the system index, so their
-    # cross-branch Gram terms vanish; hand-built overlapping blocks check
-    # that the readers still carry them
+    # attach_exact's blocks are orthogonal in the system index, so the
+    # readers' branch mixture drops no cross-branch term; hand-built
+    # overlapping blocks would carry such terms, and FactoredState rejects
+    # them with the measured cross term in its message
     rng = np.random.default_rng(37)
     grids = (a_pointer(), f_pointer())
     # (shift, momentum kick) per branch on each device; the kicks make the
-    # pointer profiles complex, so the imaginary Gram terms count too
+    # pointer profiles complex, so the cross terms are complex too
     branches = (((0.0, 0.0), (0.0, 0.0)), ((0.7, 1.5), (0.2, 9.0)), ((-0.4, -0.8), (0.5, -4.0)))
 
     def profile(grid, shift, kick):
@@ -356,17 +363,14 @@ def test_readers_keep_cross_branch_terms():
         for a, _ in branches
     ])
     columns = np.stack([profile(grids[1], *f) for _, f in branches])
-    factored = vonneumann.FactoredState(2, grids, blocks, columns)
-    dense = factored.to_joint()
-    for reader in (vonneumann.device_density, vonneumann.device_momentum_density):
-        assert np.max(np.abs(reader(factored) - reader(dense))) <= 1e-12
-    for reader in (
-        lambda s: vonneumann.mean_pointer(s, 0),
-        lambda s: vonneumann.mean_pointer(s, 1),
-        vonneumann.position_correlation,
-        vonneumann.total_norm,
-    ):
-        assert reader(factored) == pytest.approx(reader(dense), abs=1e-12)
+    cross = max(
+        np.max(np.abs(np.sum(blocks[k].conj() * blocks[l], axis=0)))
+        for k in range(3) for l in range(3) if k != l
+    )
+    assert cross > 0.01
+    with pytest.raises(DimensionError, match="overlap") as info:
+        vonneumann.FactoredState(2, grids, blocks, columns)
+    assert f"{cross:.3g}" in str(info.value)
 
 
 class TestAttachExact:
