@@ -274,13 +274,22 @@ def _load(args) -> Scenario:
     return _resolve_seed(args, sc)
 
 
+def _thread_count(text: str) -> int:
+    """argparse type for --threads: an integer >= 1, else a usage error (exit 2)."""
+    with contextlib.suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _add_source_options(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="scenario JSON file")
     group.add_argument("--preset", help="built-in scenario name (see `weakmeas presets`)")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads; never changes output bytes"
+        "--threads", type=_thread_count, default=1,
+        help="worker threads (at least 1); never changes output bytes",
     )
 
 

@@ -306,8 +306,23 @@ def _cell_cdf(weights: np.ndarray) -> np.ndarray:
 
 
 def _draw_cells(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF lookup: the cell index of each uniform, clamped to the last cell."""
-    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+    """Inverse-CDF lookup: the cell index of each uniform, clamped to the last cell.
+
+    The index counts the CDF entries <= u, exactly searchsorted(side="right").
+    Khuong & Morin's branch-free binary search ("Array Layouts for
+    Comparison-Based Searching", ACM JEA 22, 2017) runs one level at a time
+    over every key: each level is one gather of independent loads whose cache
+    misses overlap, where a per-key search waits on log2(cdf.size) dependent
+    misses.  The probe base + half never passes the last cell.
+    """
+    base = np.zeros(u.size, dtype=np.intp)
+    n = cdf.size
+    while n > 1:
+        half = n // 2
+        base += (cdf.take(base + half) <= u) * half
+        n -= half
+    base += cdf.take(base) <= u
+    return np.minimum(base, cdf.size - 1, out=base)
 
 
 def sample_records(sc: Scenario, n: int, seed=None, threads: int = 1, start: int = 0,

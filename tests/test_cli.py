@@ -242,6 +242,19 @@ class TestSeedPrecedence:
         assert cli.SEED_ENV_VAR in captured.err and "Traceback" not in captured.err
 
 
+class TestThreadsOption:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_below_one_exits_two(self, tmp_path, raw, capsys, command, threads):
+        out = str(tmp_path / "out.csv")
+        extra = ["--param", "theta", "--values", "0.5", "--out", out] if command == "sweep" else []
+        code = cli.main([command, "--config", dump(tmp_path, raw), "--threads", threads, *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--threads" in captured.err and "Traceback" not in captured.err
+        assert not os.path.exists(out)
+
+
 class TestSweep:
     def test_theta_formula_column(self, tmp_path, raw, capsys):
         raw["run"]["mode"] = "closed-form"

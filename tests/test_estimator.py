@@ -136,6 +136,57 @@ class TestIdealSampling:
         np.testing.assert_array_equal(a.value_F, b.value_F)
 
 
+def reference_cells(cdf, u):
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+
+def edge_keys(cdf):
+    """0, the largest double below 1, and each CDF entry with its two neighbours.
+
+    Keys stay in the uniforms' range [0, 1).  Past it the two searches may
+    differ: cumsum can round entries before the last above the 1.0 that
+    _cell_cdf writes into the last cell, so the CDF is sorted only below 1.
+    """
+    keys = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf,
+                           np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+    return keys[keys < 1.0]
+
+
+@st.composite
+def tied_cdfs(draw):
+    """CDFs from _cell_cdf over 1-2048 cells: runs of zero weight make ties."""
+    n = draw(st.one_of(st.integers(1, 2048),
+                       st.sampled_from([1, 2, 3, 511, 512, 513, 1023, 1024, 1025, 2047, 2048])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(n) * 10.0 ** rng.uniform(-20, 20, n)
+    for _ in range(draw(st.integers(0, 6))):
+        lo = int(rng.integers(0, n))
+        weights[lo:lo + int(rng.geometric(0.05))] = 0.0
+    if not weights.any():
+        weights[int(rng.integers(0, n))] = 1.0
+    return estimator._cell_cdf(weights)
+
+
+class TestDrawCells:
+    """The level-by-level search must equal the clamped searchsorted exactly."""
+
+    # 200 examples of at most ~6,000 keys each: about 0.5 s in all, kept under 1 s
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tied_cdfs())
+    def test_matches_searchsorted(self, cdf):
+        keys = edge_keys(cdf)
+        got = estimator._draw_cells(cdf, keys)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, reference_cells(cdf, keys))
+
+    def test_joint_cdf_first_chunk(self, theta30):
+        state = estimator.coupled_state(theta30)
+        density, _, step_a, _, step_f = estimator._readout_axis(theta30, state)
+        cdf = estimator._cell_cdf(density.ravel() * (step_a * step_f))
+        u = estimator._uniform_block(theta30.run.seed, 0, 0, estimator.CHUNK_SIZE)[:, 0]
+        np.testing.assert_array_equal(estimator._draw_cells(cdf, u), reference_cells(cdf, u))
+
+
 class TestSummarize:
     def test_worked_example_dataset(self, theta30):
         sc = replace(theta30, ga_ta=1.0)
