@@ -13,9 +13,7 @@ sc = scenario.preset("qubit-theta30")
 
 for label, obs in (("sigma_z", qmath.sigma_z), ("identity", np.eye(2))):
     state = vonneumann.initial_state(sc.i_vector, [sc.grid_a()])
-    state = vonneumann.evolve_exact(
-        state, vonneumann.CouplingSpec(obs, sc.ga_ta, pointer_axis=0)
-    )
+    state = vonneumann.evolve_exact(state, vonneumann.CouplingSpec(obs, sc.ga_ta))
     rep = entanglement.product_check(state, "system")
     print(f"A = {label}")
     vals = np.array(rep.singular_values[:3])

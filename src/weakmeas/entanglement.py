@@ -1,12 +1,15 @@
 """Separability witnesses for the coupled system-device state.
 
-Two complementary checks.  The pure-state check cuts the joint amplitude
-tensor along a chosen bipartition and inspects its Schmidt spectrum: a
-second singular value above tolerance certifies the cut is not a product.
-The correlation witness compares <x_A x_F> with the product of marginal
-means; a gap refutes the product form of the two-device state.  Both are
-one-sided: they can certify entanglement or correlation, never rule it
-out, and no mixed-state separability decision is attempted.
+Two complementary checks.  The pure-state check cuts the amplitude matrix
+of the system and one device (a JointState) between the system and the
+device, and inspects its Schmidt spectrum: a second singular value above
+tolerance certifies the cut is not a product.  The cut is named "system"
+or "axis0" by the side it splits off; for this bipartite pure state both
+give the same spectrum.  The correlation witness compares <x_A x_F> with
+the product of marginal means of the two-device state; a gap refutes its
+product form.  Both are one-sided: they can certify entanglement or
+correlation, never rule it out, and no mixed-state separability decision
+is attempted.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import qmath
 from .errors import DimensionError
-from .vonneumann import FactoredState, State, mean_pointer, position_correlation
+from .vonneumann import FactoredState, JointState, mean_pointer, position_correlation
 
 PRODUCT_TOLERANCE = 1e-10
 CORRELATION_TOLERANCE = 1e-8
@@ -39,25 +42,14 @@ class SeparabilityReport:
     correlation_gap: Optional[float] = None
 
 
-# the amplitude tensor axis each cut splits off: the system, device 0, device 1
-_CUT_AXES = {"system": 0, "axis0": 1, "axis1": 2}
+def _cut_matrix(s: JointState, bipartition: str) -> np.ndarray:
+    # rows index the side the cut splits off: the system, or device 0
+    if bipartition not in ("system", "axis0"):
+        raise DimensionError(f"unknown bipartition {bipartition!r}; expected 'system' or 'axis0'")
+    return s.amplitudes if bipartition == "system" else s.amplitudes.T
 
 
-def _cut_matrix(s: State, bipartition: str) -> np.ndarray:
-    if bipartition not in _CUT_AXES:
-        raise DimensionError(
-            f"unknown bipartition {bipartition!r}; expected 'system', 'axis0' or 'axis1'"
-        )
-    axis = _CUT_AXES[bipartition]
-    if axis > len(s.pointers):
-        raise DimensionError(f"bipartition {bipartition!r} needs a second device axis")
-    if isinstance(s, FactoredState):
-        s = s.to_joint()
-    moved = np.moveaxis(s.amplitudes, axis, 0)
-    return moved.reshape(moved.shape[0], -1)
-
-
-def product_check(s: State, bipartition: str = "system") -> SeparabilityReport:
+def product_check(s: JointState, bipartition: str = "system") -> SeparabilityReport:
     """Schmidt test of one cut: product iff a single singular value survives."""
     matrix = _cut_matrix(s, bipartition)
     values = qmath.schmidt(matrix.ravel(), *matrix.shape)
@@ -74,7 +66,7 @@ def product_check(s: State, bipartition: str = "system") -> SeparabilityReport:
     )
 
 
-def correlation_witness(s: State) -> SeparabilityReport:
+def correlation_witness(s: FactoredState) -> SeparabilityReport:
     """Gap |<x_A x_F> - mean_A * mean_F| between the two device axes.
 
     Zero for every product of device states.  A nonzero gap also arises

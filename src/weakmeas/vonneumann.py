@@ -1,16 +1,16 @@
-"""Joint evolution of a system with one or two measuring devices.
+"""A system coupled to one measuring device, then to a second.
 
 The interaction Hamiltonian g A pi displaces the coupled pointer by
 g*t*a in each eigenbranch a of the observable, so exact evolution is an
 eigendecomposition followed by per-branch Fourier translations.
 
-A state comes in one of two forms:
+A state comes in one form per stage of the experiment:
 
-- JointState holds the dense amplitude tensor of shape d x n_1 (x n_2).
-  initial_state, evolve_exact and evolve_first_order act on it.
-- FactoredState holds a two-device state built by attach_exact, which
-  couples a fresh second device to a one-device state.  Because the
-  coupling is a displacement, the result is exactly
+- JointState holds the system and one device, a d x n amplitude matrix.
+  initial_state builds it and evolve_exact couples the device to it.
+- FactoredState holds the two-device state built by attach_exact, which
+  couples a fresh second device to a JointState.  Because the coupling is
+  a displacement, the result is exactly
   Psi(s, x_1, x_2) = sum_k C_k(s, x_1) phi_k(x_2): C_k = u_k u_k^H psi is
   eigenbranch k of the second observable and phi_k the fresh pointer
   shifted by strength*lambda_k.  The d x n_1 x n_2 tensor is never formed:
@@ -18,16 +18,16 @@ A state comes in one of two forms:
   the K-term branch mixture sum_k g_k(x_1) h_k(x_2), the Born rule over
   the second observable's branches, and every reader sums over (g, h).
 
-Every reader below (device_density, device_momentum_density, mean_pointer,
-position_correlation) accepts both forms.  The full device density matrix
-is never materialized; only its position (or momentum) diagonal and low
-moments are ever needed.
+The readers below (device_density, device_momentum_density, mean_pointer,
+position_correlation, total_norm) take the FactoredState.  The full device
+density matrix is never materialized; only its position (or momentum)
+diagonal and low moments are ever needed.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -41,11 +41,10 @@ BRANCH_OVERLAP_ACCURACY = 1e-12  # FactoredState's cross/diagonal branch term bo
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """One von Neumann coupling: observable, displacement scale g*t, target axis."""
+    """One von Neumann coupling: the observable and the displacement scale g*t."""
 
     observable: np.ndarray
     strength: float
-    pointer_axis: int = 0
 
     def __post_init__(self):
         obs = qmath.operator(self.observable)
@@ -54,10 +53,10 @@ class CouplingSpec:
             raise ValueError(f"coupling strength must be finite, got {self.strength}")
 
 
-def _check_axes(pointers) -> tuple:
+def _check_axes(pointers, count: int) -> tuple:
     pts = tuple(pointers)
-    if not 1 <= len(pts) <= 2:
-        raise MissingAxisError(f"need one or two device axes, got {len(pts)}")
+    if len(pts) != count:
+        raise MissingAxisError(f"device axes: need {count}, got {len(pts)}")
     for p in pts:
         if not isinstance(p, PointerGrid):
             raise DimensionError("pointer axes must be PointerGrid descriptors")
@@ -68,7 +67,7 @@ def _check_axes(pointers) -> tuple:
 
 
 class _DeviceAxes:
-    """Grid bookkeeping shared by the dense and the factored state."""
+    """Grid bookkeeping shared by the one-device and the two-device state."""
 
     pointers: tuple
 
@@ -83,11 +82,10 @@ class _DeviceAxes:
 
 @dataclass(frozen=True)
 class JointState(_DeviceAxes):
-    """System tensor devices amplitude tensor of shape d x n_1 (x n_2).
+    """System tensor one device: amplitude matrix of shape d x n.
 
-    States produced by initial_state and evolve_exact carry total norm 1
-    within 1e-10; evolve_first_order intentionally returns the truncated,
-    unnormalized state.
+    States produced by initial_state and evolve_exact carry
+    sum |amplitudes|^2 dx = 1 within 1e-10.
     """
 
     system_dim: int
@@ -95,9 +93,9 @@ class JointState(_DeviceAxes):
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        pts = _check_axes(self.pointers)
+        pts = _check_axes(self.pointers, 1)
         amps = np.array(self.amplitudes, dtype=complex)
-        expected = (self.system_dim,) + tuple(p.n_points for p in pts)
+        expected = (self.system_dim, pts[0].n_points)
         if amps.shape != expected:
             raise DimensionError(f"amplitude shape {amps.shape}, expected {expected}")
         amps.setflags(write=False)
@@ -120,9 +118,7 @@ class FactoredState(_DeviceAxes):
     columns: np.ndarray
 
     def __post_init__(self):
-        pts = _check_axes(self.pointers)
-        if len(pts) != 2:
-            raise MissingAxisError(f"a factored state has two device axes, got {len(pts)}")
+        pts = _check_axes(self.pointers, 2)
         blocks = np.array(self.blocks, dtype=complex)
         columns = np.array(self.columns, dtype=complex)
         k = blocks.shape[0] if blocks.ndim == 3 else -1
@@ -143,181 +139,115 @@ class FactoredState(_DeviceAxes):
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "columns", columns)
 
-    def to_joint(self) -> JointState:
-        """The dense d x n_1 x n_2 form, for checks that need every amplitude."""
-        amps = np.einsum("ksx,ky->sxy", self.blocks, self.columns)
-        return JointState(self.system_dim, self.pointers, amps)
-
-
-State = Union[JointState, FactoredState]
-
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real ** 2 + z.imag ** 2
 
 
-def total_norm(s: State) -> float:
-    return float(np.sqrt(np.sum(_marginal(s, 0)) * s.measure))
-
-
 def initial_state(system, pointers: Sequence[PointerGrid]) -> JointState:
-    """Product state |I> |phi_1> (|phi_2>) of system and fresh devices."""
+    """Product state |I> |phi> of the system and one fresh device."""
     sys_vec = qmath.require_normalized(system, qmath.STATE_NORM_ACCURACY, "system state")
-    pts = _check_axes(pointers)
-    amps = sys_vec
-    for p in pts:
-        amps = np.multiply.outer(amps, p.amplitudes)
-    return JointState(sys_vec.size, pts, amps)
+    pts = _check_axes(pointers, 1)
+    return JointState(sys_vec.size, pts, np.multiply.outer(sys_vec, pts[0].amplitudes))
 
 
-def _check_coupling(system_dim: int, n_axes: int, c: CouplingSpec) -> int:
+def _eigenbranches(system_dim: int, grid: PointerGrid, c: CouplingSpec, what: str):
+    """Eigenvectors of c's observable and the FFT factors shifting grid per eigenvalue."""
     if c.observable.shape[0] != system_dim:
         raise DimensionError(
             f"observable dim {c.observable.shape[0]} does not match system dim {system_dim}"
         )
-    if not 0 <= c.pointer_axis < n_axes:
-        raise MissingAxisError(
-            f"pointer_axis {c.pointer_axis} not present ({n_axes} device axes)"
-        )
-    return 1 + c.pointer_axis
+    dec = qmath.herm_eig(c.observable)
+    return dec.eigenvectors, _pointer.translation_phases(grid, c.strength * dec.eigenvalues, what)
 
 
 def evolve_exact(s: JointState, c: CouplingSpec) -> JointState:
-    """Exact unitary action of exp(-i strength A pi / hbar).
+    """Exact unitary action of exp(-i strength A pi / hbar) on the device.
 
-    The observable is split into eigenbranches; the target pointer is
-    translated by strength*eigenvalue inside each branch.  Norm is
-    preserved within 1e-10.
+    The observable is split into eigenbranches; the pointer is translated
+    by strength*eigenvalue inside each branch.  Norm is preserved within
+    1e-10.
     """
-    axis = _check_coupling(s.system_dim, len(s.pointers), c)
-    grid = s.pointers[c.pointer_axis]
-    dec = qmath.herm_eig(c.observable)
-    phase = _pointer.translation_phases(
-        grid, c.strength * dec.eigenvalues, f"device axis {c.pointer_axis}"
-    )
+    u, phase = _eigenbranches(s.system_dim, s.pointers[0], c, "device axis 0")
     # rotate the system index into the eigenbasis, translate every branch at
     # once in Fourier space, rotate back
-    u = dec.eigenvectors
     amps = np.tensordot(u.conj().T, s.amplitudes, axes=(1, 0))
-    ft = np.fft.fft(amps, axis=axis)
-    shape = [s.system_dim] + [1] * (s.amplitudes.ndim - 1)
-    shape[axis] = grid.n_points
-    ft *= phase.reshape(shape)
-    amps = np.fft.ifft(ft, axis=axis)
+    ft = np.fft.fft(amps, axis=1)
+    ft *= phase
+    amps = np.fft.ifft(ft, axis=1)
     amps = np.tensordot(u, amps, axes=(1, 0))
     return JointState(s.system_dim, s.pointers, amps)
 
 
 def attach_exact(s: JointState, grid: PointerGrid, c: CouplingSpec) -> FactoredState:
-    """Couple a fresh device to a one-device state exactly, kept factored.
+    """Couple a fresh device, device axis 1, to a one-device state exactly, kept factored.
 
     The same physics as evolve_exact on the product of s with the fresh
-    pointer, c.pointer_axis = 1: branch k of the observable's eigenbasis
-    (same gauge, Fourier phase and wraparound guard) carries the block
-    u_k u_k^H psi and the pointer translated by strength*lambda_k.
+    pointer: branch k of the observable's eigenbasis (same gauge, Fourier
+    phase and wraparound guard) carries the block u_k u_k^H psi and the
+    pointer translated by strength*lambda_k.
     """
-    if len(s.pointers) != 1:
-        raise MissingAxisError(f"attach_exact needs a one-device state, got {len(s.pointers)} axes")
-    pts = _check_axes(s.pointers + (grid,))
-    _check_coupling(s.system_dim, 2, c)
-    if c.pointer_axis != 1:
-        raise MissingAxisError(f"attach_exact couples device axis 1, not {c.pointer_axis}")
-    dec = qmath.herm_eig(c.observable)
-    phase = _pointer.translation_phases(grid, c.strength * dec.eigenvalues, "device axis 1")
+    pts = _check_axes(s.pointers + (grid,), 2)
+    u, phase = _eigenbranches(s.system_dim, grid, c, "device axis 1")
     columns = np.fft.ifft(np.fft.fft(grid.amplitudes) * phase)
-    u = dec.eigenvectors
     coeffs = u.conj().T @ s.amplitudes
     blocks = u.T[:, :, None] * coeffs[:, None, :]
     return FactoredState(s.system_dim, pts, blocks, columns)
 
 
-def evolve_first_order(s: JointState, c: CouplingSpec) -> JointState:
-    """Truncated evolution |Phi> - (i strength/hbar) (A x pi) |Phi>.
-
-    Deliberately not renormalized; the norm exceeds 1 at second order in
-    the strength.  Diagnostic only, never used for sampling.
-    """
-    axis = _check_coupling(s.system_dim, len(s.pointers), c)
-    grid = s.pointers[c.pointer_axis]
-    a_amps = np.tensordot(c.observable, s.amplitudes, axes=(1, 0))
-    momenta = _pointer.fft_momenta(grid.n_points, grid.extent, grid.hbar)
-    shape = [1] * s.amplitudes.ndim
-    shape[axis] = grid.n_points
-    pi_a_amps = np.fft.ifft(momenta.reshape(shape) * np.fft.fft(a_amps, axis=axis), axis=axis)
-    return JointState(
-        s.system_dim, s.pointers, s.amplitudes - 1j * c.strength / grid.hbar * pi_a_amps
-    )
-
-
-def _require_two_axes(s: State) -> None:
-    if len(s.pointers) != 2:
-        raise MissingAxisError(f"need two device axes, state has {len(s.pointers)}")
-
-
-# Factored readers.  The blocks are orthogonal in s, so the cross terms
+# Readers.  The blocks are orthogonal in s, so the cross terms
 # sum_s conj(C_k) C_l vanish and the joint density is the branch mixture
 # P(x_1, x_2) = sum_k g_k(x_1) h_k(x_2), with g K x n_1 and h K x n_2.
 
 def _branch_weights(s: FactoredState, momentum: bool = False):
     """(g, h): g_k = sum_s |C_k|^2 over x_1 (or pi_1), h_k = |phi_k|^2 over x_2."""
+    if len(s.pointers) != 2:  # a one-device JointState has no branches to read
+        raise MissingAxisError(f"need the two-device state, got {len(s.pointers)} device axis")
     blocks = _pointer.momentum_amplitudes(s.blocks, s.pointers[0]) if momentum else s.blocks
     return _abs2(blocks).sum(axis=1), _abs2(s.columns)
 
 
-def _marginal(s: State, axis: int) -> np.ndarray:
-    """Position density of one device axis, the others summed (no measure)."""
+def _marginal(s: FactoredState, axis: int) -> np.ndarray:
+    """Position density of one device axis, the other summed (no measure)."""
     if not 0 <= axis < len(s.pointers):
         raise MissingAxisError(f"axis {axis} not present ({len(s.pointers)} device axes)")
-    if isinstance(s, FactoredState):
-        g, h = _branch_weights(s)
-        return h.sum(axis=1) @ g if axis == 0 else g.sum(axis=1) @ h
-    marginal = np.sum(np.abs(s.amplitudes) ** 2, axis=0)
-    other = tuple(i for i in range(len(s.pointers)) if i != axis)
-    return marginal.sum(axis=other)
+    g, h = _branch_weights(s)
+    return h.sum(axis=1) @ g if axis == 0 else g.sum(axis=1) @ h
 
 
-def device_density(s: State) -> np.ndarray:
+def total_norm(s: FactoredState) -> float:
+    return float(np.sqrt(np.sum(_marginal(s, 0)) * s.measure))
+
+
+def device_density(s: FactoredState) -> np.ndarray:
     """Joint position density P(x_1, x_2) = sum_s |Psi|^2 on the grid.
 
     This is the position diagonal of the devices' partial density matrix;
     sum P dx_1 dx_2 = 1.
     """
-    _require_two_axes(s)
-    if isinstance(s, FactoredState):
-        g, h = _branch_weights(s)
-        return g.T @ h
-    return np.sum(np.abs(s.amplitudes) ** 2, axis=0)
+    g, h = _branch_weights(s)
+    return g.T @ h
 
 
-def device_momentum_density(s: State) -> np.ndarray:
+def device_momentum_density(s: FactoredState) -> np.ndarray:
     """Joint density P(pi_1, x_2) with the first device axis Fourier-transformed.
 
     Rows follow pointer.momentum_values(first device) in ascending order;
-    sum P dp_1 dx_2 = 1.  A factored state transforms its d x n_1 blocks
-    only.
+    sum P dp_1 dx_2 = 1.  Only the d x n_1 blocks are transformed.
     """
-    _require_two_axes(s)
-    grid = s.pointers[0]
-    if isinstance(s, FactoredState):
-        g, h = _branch_weights(s, momentum=True)
-        return g.T @ h
-    ft = _pointer.momentum_amplitudes(s.amplitudes, grid, axis=1)
-    return np.sum(np.abs(ft) ** 2, axis=0)
+    g, h = _branch_weights(s, momentum=True)
+    return g.T @ h
 
 
-def mean_pointer(s: State, axis: int = 0) -> float:
+def mean_pointer(s: FactoredState, axis: int = 0) -> float:
     """Quadrature mean position of one device axis."""
     marginal = _marginal(s, axis)
     return float(np.sum(marginal * s.pointers[axis].positions) * s.measure)
 
 
-def position_correlation(s: State) -> float:
+def position_correlation(s: FactoredState) -> float:
     """Exact first moment <x_1 x_2> against the joint device density."""
-    _require_two_axes(s)
+    g, h = _branch_weights(s)
     x1 = s.pointers[0].positions
     x2 = s.pointers[1].positions
-    if isinstance(s, FactoredState):
-        g, h = _branch_weights(s)
-        return float((g @ x1) @ (h @ x2) * s.measure)
-    p = device_density(s)
-    return float(np.einsum("ab,a,b->", p, x1, x2) * s.measure)
+    return float((g @ x1) @ (h @ x2) * s.measure)

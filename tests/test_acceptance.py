@@ -193,13 +193,13 @@ def test_entanglement_witnesses():
     grid_a, grid_f = THETA30.grid_a(), THETA30.grid_f()
     after_a = vonneumann.evolve_exact(
         vonneumann.initial_state(THETA30.i_vector, [grid_a]),
-        vonneumann.CouplingSpec(qmath.sigma_z, THETA30.ga_ta, pointer_axis=0),
+        vonneumann.CouplingSpec(qmath.sigma_z, THETA30.ga_ta),
     )
     second = entanglement.product_check(after_a, "system").singular_values[1]
 
     ident = vonneumann.evolve_exact(
         vonneumann.initial_state(THETA30.i_vector, [grid_a]),
-        vonneumann.CouplingSpec(np.eye(2), THETA30.ga_ta, pointer_axis=0),
+        vonneumann.CouplingSpec(np.eye(2), THETA30.ga_ta),
     )
     product_flags = [
         entanglement.product_check(ident, cut).is_product
@@ -209,7 +209,11 @@ def test_entanglement_witnesses():
     rng = RNG(20269)
     worst_gap = 0.0
     for _ in range(3):
-        state = vonneumann.initial_state(haar_ket(rng, 2), [grid_a, grid_f])
+        # the two-device product state: device F attached by a zero identity coupling
+        state = vonneumann.attach_exact(
+            vonneumann.initial_state(haar_ket(rng, 2), [grid_a]), grid_f,
+            vonneumann.CouplingSpec(np.eye(2), 0.0),
+        )
         gap = entanglement.correlation_witness(state).correlation_gap
         worst_gap = max(worst_gap, abs(gap))
     check(

@@ -14,9 +14,9 @@ G_F = 1.0
 def two_device_state(second_observable, g_a=G_A, g_f=G_F):
     pa = pointer.gaussian_pointer(1.0, 256, 40.0, 1.0)
     pf = pointer.gaussian_pointer(1.0, 256, 40.0, 1.0)
-    s = vonneumann.initial_state(THETA_I, [pa, pf])
-    s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_z, g_a, 0))
-    return vonneumann.evolve_exact(s, vonneumann.CouplingSpec(second_observable, g_f, 1))
+    s = vonneumann.initial_state(THETA_I, [pa])
+    s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_z, g_a))
+    return vonneumann.attach_exact(s, pf, vonneumann.CouplingSpec(second_observable, g_f))
 
 
 class TestProductCheck:
@@ -32,7 +32,7 @@ class TestProductCheck:
     def test_weak_coupling_entangles(self):
         p = pointer.gaussian_pointer(1.0, 256, 40.0, 1.0)
         s = vonneumann.initial_state(THETA_I, [p])
-        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_z, G_A, 0))
+        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_z, G_A))
         rep = entanglement.product_check(s, "system")
         assert rep.is_product is False
         assert rep.singular_values[1] > 1e-6
@@ -41,31 +41,41 @@ class TestProductCheck:
         # c-number observable: the device shifts but never marks the system
         p = pointer.gaussian_pointer(1.0, 256, 40.0, 1.0)
         s = vonneumann.initial_state(THETA_I, [p])
-        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(np.eye(2), 0.4, 0))
+        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(np.eye(2), 0.4))
         rep = entanglement.product_check(s, "system")
         assert rep.is_product is True
 
     def test_two_axis_bipartitions(self):
+        # "system" and "axis0" split the same pure state of system and device
+        # from opposite sides, so they share one Schmidt spectrum
         pa = pointer.gaussian_pointer(1.0, 256, 40.0, 1.0)
-        pf = pointer.gaussian_pointer(1.0, 256, 40.0, 1.0)
-        s = vonneumann.initial_state(THETA_I, [pa, pf])
-        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_z, G_A, 0))
-        # only the first device is coupled: the second axis still factors out
-        assert entanglement.product_check(s, "axis1").is_product is True
-        assert entanglement.product_check(s, "axis0").is_product is False
-        assert entanglement.product_check(s, "system").is_product is False
+        s = vonneumann.initial_state(THETA_I, [pa])
+        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_z, G_A))
+        system = entanglement.product_check(s, "system")
+        device = entanglement.product_check(s, "axis0")
+        assert system.is_product is False and device.is_product is False
+        np.testing.assert_allclose(device.singular_values, system.singular_values,
+                                   rtol=0, atol=1e-12)
 
     def test_singular_values_sorted_and_normalized(self):
-        s = two_device_state(qmath.projector(np.array([SQ3 / 2, -0.5])))
+        # a qutrit coupled through three eigenbranches keeps three Schmidt values
+        rng = np.random.default_rng(5104)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        psi = qmath.normalize(rng.normal(size=3) + 1j * rng.normal(size=3))
+        p = pointer.gaussian_pointer(1.0, 256, 40.0, 1.0)
+        s = vonneumann.evolve_exact(
+            vonneumann.initial_state(psi, [p]), vonneumann.CouplingSpec((m + m.conj().T) / 4, 0.5)
+        )
         rep = entanglement.product_check(s, "system")
         vals = np.array(rep.singular_values)
+        assert vals.size == 3 and vals[2] > 1e-6
         assert np.all(np.diff(vals) <= 0)
         assert np.linalg.norm(vals) == pytest.approx(1.0, abs=1e-10)
 
     def test_local_unitary_invariance(self):
         p = pointer.gaussian_pointer(1.0, 256, 40.0, 1.0)
         s = vonneumann.initial_state(THETA_I, [p])
-        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_z, G_A, 0))
+        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_z, G_A))
         base = entanglement.product_check(s, "system")
 
         rng = np.random.default_rng(5103)
@@ -92,9 +102,8 @@ class TestProductCheck:
 
 class TestCorrelationWitness:
     def test_product_state_has_no_gap(self):
-        pa = pointer.gaussian_pointer(1.0, 256, 40.0, 1.0)
-        pf = pointer.gaussian_pointer(1.0, 256, 40.0, 1.0)
-        s = vonneumann.initial_state(THETA_I, [pa, pf])
+        # a zero identity coupling attaches device F without touching anything
+        s = two_device_state(np.eye(2), g_a=0.0, g_f=0.0)
         rep = entanglement.correlation_witness(s)
         assert rep.correlation_gap <= 1e-10
         assert rep.bipartition == "axis0|axis1"

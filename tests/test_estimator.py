@@ -141,15 +141,9 @@ def reference_cells(cdf, u):
 
 
 def edge_keys(cdf):
-    """0, the largest double below 1, and each CDF entry with its two neighbours.
-
-    Keys stay in the uniforms' range [0, 1).  Past it the two searches may
-    differ: cumsum can round entries before the last above the 1.0 that
-    _cell_cdf writes into the last cell, so the CDF is sorted only below 1.
-    """
-    keys = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf,
+    """0, the largest double below 1, 1, and each CDF entry with its two neighbours."""
+    return np.concatenate([[0.0, np.nextafter(1.0, 0.0), 1.0], cdf,
                            np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
-    return keys[keys < 1.0]
 
 
 @st.composite
@@ -174,6 +168,8 @@ class TestDrawCells:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(tied_cdfs())
     def test_matches_searchsorted(self, cdf):
+        # sorted and at most 1, so a key of 1.0 finds the same cell either way
+        assert np.all(np.diff(cdf) >= 0) and np.all(cdf <= 1.0) and cdf[-1] == 1.0
         keys = edge_keys(cdf)
         got = estimator._draw_cells(cdf, keys)
         assert got.dtype == np.intp
@@ -297,6 +293,90 @@ class TestExactMoments:
         sc = replace(theta30, run=replace(theta30.run, threshold=10.0))
         with pytest.raises(EmptyPostSelectionError):
             estimator.exact_moments(sc)
+
+
+def haar_ket(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def gaussian_scenarios(draw):
+    """Qubit and qutrit scenarios whose grids hold the continuum Gaussians.
+
+    Resolution and headroom, fixed before any draw: sigma/dx >= 4 on both
+    grids; at least 10 sigma between the largest shift and each grid edge;
+    the threshold at least 9 sigma_F from both selector centres, 0 and
+    gF_tF, because the grid's half-line sum is not spectrally accurate near
+    a Gaussian's centre.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = (m + m.conj().T) / 2
+    # device A: extent/sigma = n/per_sigma >= 24 leaves >= 2 sigma of reach
+    n_a = draw(st.sampled_from([128, 256, 512]))
+    per_sigma_a = draw(st.floats(4.0, n_a / 24))
+    sigma_a = draw(st.floats(0.5, 2.0))
+    extent_a = n_a * sigma_a / per_sigma_a
+    reach = (extent_a / 2 - 10 * sigma_a) * draw(st.floats(0.02, 1.0))
+    ga_ta = reach / float(np.max(np.abs(np.linalg.eigvalsh(a)))) * draw(st.sampled_from([1, -1]))
+    # device F: extent/sigma >= 56 fits centres 18 sigma apart plus 10 sigma a side
+    n_f = draw(st.sampled_from([256, 512]))
+    per_sigma_f = draw(st.floats(4.0, n_f / 56))
+    sigma_f = draw(st.floats(0.02, 0.2))
+    extent_f = n_f * sigma_f / per_sigma_f
+    gf_tf = draw(st.floats(18 * sigma_f, extent_f / 2 - 10 * sigma_f)) * draw(st.sampled_from([1, -1]))
+    lo, hi = min(0.0, gf_tf) + 9 * sigma_f, max(0.0, gf_tf) - 9 * sigma_f
+    threshold = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+    return scenario.Scenario(
+        system_dim=dim, a_matrix=a, i_vector=haar_ket(rng, dim), f_vector=haar_ket(rng, dim),
+        ga_ta=ga_ta, gf_tf=gf_tf, hbar=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        pointer_a=scenario.PointerSettings(sigma_a, n_a, extent_a),
+        pointer_f=scenario.PointerSettings(sigma_f, n_f, extent_f),
+        run=scenario.RunSettings(mode="exact-moments", threshold=threshold),
+    )
+
+
+ORACLE_FIELDS = ("mean_A", "mean_F", "correlation_AF", "selected_mass", "selected_mean")
+
+
+class TestGaussianMoments:
+    """The all-orders closed form against the grid's exact_moments."""
+
+    @pytest.mark.parametrize("name", ["qubit-theta30", "imaginary-sigma-x"])
+    @pytest.mark.parametrize("readout", ["position", "momentum"])
+    def test_matches_exact_moments_on_presets(self, name, readout):
+        sc = scenario.preset(name)
+        sc = replace(sc, run=replace(sc.run, readout=readout))
+        got, want = estimator.gaussian_moments(sc), estimator.exact_moments(sc)
+        for key in ORACLE_FIELDS:
+            assert got[key] == pytest.approx(want[key], abs=1e-10), key
+
+    def test_selector_mean_identity(self, theta30):
+        # the red acceptance test's 0.250468457153: the A coupling damps the
+        # cross term between A's two eigenbranches by exp(-gA^2 / 2 sigma_A^2)
+        damping = math.exp(-theta30.ga_ta**2 / (2 * theta30.pointer_a.sigma**2))
+        want = theta30.gf_tf * (0.5625 + 0.0625 - 0.375 * damping)
+        assert want == pytest.approx(0.250468457153, abs=1e-12)
+        assert estimator.gaussian_moments(theta30)["mean_F"] == pytest.approx(want, abs=1e-12)
+
+    # 60 examples, each two exact_moments on at most 512 x 512 cells:
+    # declared at about 1 s in all
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(gaussian_scenarios())
+    def test_matches_exact_moments_on_drawn_scenarios(self, sc):
+        scenario.validate(sc)
+        for readout in ("position", "momentum"):
+            probe = replace(sc, run=replace(sc.run, readout=readout))
+            got, want = estimator.gaussian_moments(probe), estimator.exact_moments(probe)
+            for key in ORACLE_FIELDS:
+                assert got[key] == pytest.approx(want[key], abs=1e-10), (readout, key)
+
+    def test_empty_selection_raises(self, theta30):
+        sc = replace(theta30, run=replace(theta30.run, threshold=10.0))
+        with pytest.raises(EmptyPostSelectionError):
+            estimator.gaussian_moments(sc)
 
 
 class TestConvergence:

@@ -31,7 +31,7 @@ def _evolve_exact(reach):
 
 def _attach_exact(reach):
     state = vonneumann.initial_state([1.0, 0.0], [pointer.gaussian_pointer(1.0, 64, 16.0, 1.0)])
-    coupling = vonneumann.CouplingSpec(qmath.sigma_z, reach, pointer_axis=1)
+    coupling = vonneumann.CouplingSpec(qmath.sigma_z, reach)
     vonneumann.attach_exact(state, _grid(), coupling)
 
 

@@ -1,4 +1,11 @@
-"""Joint system+device evolution: exactness, first order, densities, moments."""
+"""System+device evolution, the two-device readers, and their closed-form references.
+
+The references are analytic: shifted continuum Gaussians sampled on the
+grid for pointwise densities and amplitudes, and estimator.gaussian_moments
+for the moments.
+"""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +16,7 @@ from weakmeas.errors import (
     MissingAxisError,
     NormalizationError,
 )
+from weakmeas.scenario import PointerSettings
 
 HBAR = 1.0
 THETA_I = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
@@ -25,15 +33,33 @@ def f_pointer():
     return pointer.gaussian_pointer(sigma=0.05, n_points=512, extent=4.0, hbar=HBAR)
 
 
+def device_norm(s):
+    """sqrt(sum |psi|^2 dx) of a one-device state, by quadrature."""
+    return float(np.sqrt(np.sum(np.abs(s.amplitudes) ** 2) * s.measure))
+
+
+def device_mean(s):
+    """Quadrature mean position of the device of a one-device state."""
+    marginal = np.sum(np.abs(s.amplitudes) ** 2, axis=0)
+    return float(np.sum(marginal * s.pointers[0].positions) * s.measure)
+
+
+def product_pair(system):
+    """Fresh two-device product state: device 1 attached by a zero identity coupling."""
+    s = vonneumann.initial_state(system, [a_pointer()])
+    return vonneumann.attach_exact(s, f_pointer(), vonneumann.CouplingSpec(np.eye(s.system_dim), 0.0))
+
+
 def theta_state(g_a=G_A, observable=None, order="af"):
+    """Both couplings on THETA_I; order "fa" couples F first, which makes it device 0."""
     obs = qmath.sigma_z if observable is None else observable
-    s = vonneumann.initial_state(THETA_I, [a_pointer(), f_pointer()])
-    couple_a = vonneumann.CouplingSpec(obs, g_a, pointer_axis=0)
-    couple_f = vonneumann.CouplingSpec(qmath.projector(THETA_F), G_F, pointer_axis=1)
-    seq = (couple_a, couple_f) if order == "af" else (couple_f, couple_a)
-    for c in seq:
-        s = vonneumann.evolve_exact(s, c)
-    return s
+    steps = [(a_pointer(), vonneumann.CouplingSpec(obs, g_a)),
+             (f_pointer(), vonneumann.CouplingSpec(qmath.projector(THETA_F), G_F))]
+    if order == "fa":
+        steps.reverse()
+    (grid0, first), (grid1, second) = steps
+    s = vonneumann.evolve_exact(vonneumann.initial_state(THETA_I, [grid0]), first)
+    return vonneumann.attach_exact(s, grid1, second)
 
 
 class TestInitialState:
@@ -45,7 +71,7 @@ class TestInitialState:
         assert sv[1] <= 1e-12
 
     def test_norm_and_pointer_means(self):
-        s = vonneumann.initial_state(THETA_I, [a_pointer(), f_pointer()])
+        s = product_pair(THETA_I)
         assert vonneumann.total_norm(s) == pytest.approx(1.0, abs=1e-10)
         assert abs(vonneumann.mean_pointer(s, 0)) <= 1e-10
         assert abs(vonneumann.mean_pointer(s, 1)) <= 1e-10
@@ -65,14 +91,14 @@ class TestEvolveExact:
     def test_identity_observable_shifts_without_entangling(self):
         s = vonneumann.initial_state(THETA_I, [a_pointer()])
         out = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(np.eye(2), 0.8))
-        assert vonneumann.mean_pointer(out) == pytest.approx(0.8, abs=1e-8)
+        assert device_mean(out) == pytest.approx(0.8, abs=1e-8)
         vec = out.amplitudes.ravel() * np.sqrt(out.measure)
         assert qmath.schmidt(vec, 2, 512)[1] <= 1e-12
 
     def test_eigenstate_input_stays_product(self):
         s = vonneumann.initial_state([1, 0], [a_pointer()])
         out = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_z, 0.3))
-        assert vonneumann.mean_pointer(out) == pytest.approx(0.3, abs=1e-8)
+        assert device_mean(out) == pytest.approx(0.3, abs=1e-8)
         vec = out.amplitudes.ravel() * np.sqrt(out.measure)
         assert qmath.schmidt(vec, 2, 512)[1] <= 1e-12
 
@@ -80,7 +106,7 @@ class TestEvolveExact:
         s = vonneumann.initial_state(THETA_I, [a_pointer()])
         out = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_z, G_A))
         # g <I|A|I> = 0.05 * 0.5
-        assert vonneumann.mean_pointer(out) == pytest.approx(0.025, abs=1e-8)
+        assert device_mean(out) == pytest.approx(0.025, abs=1e-8)
 
     def test_unitarity_random(self):
         rng = np.random.default_rng(31)
@@ -92,7 +118,7 @@ class TestEvolveExact:
             psi = qmath.normalize(rng.standard_normal(d) + 1j * rng.standard_normal(d))
             s = vonneumann.initial_state(psi, [a_pointer()])
             out = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(a, 0.7))
-            assert vonneumann.total_norm(out) == pytest.approx(1.0, abs=1e-10)
+            assert device_norm(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_mean_equals_strength_times_expectation_random(self):
         # single-device first-moment identity, exact at any strength
@@ -107,7 +133,7 @@ class TestEvolveExact:
             s = vonneumann.initial_state(psi, [a_pointer()])
             out = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(a, g))
             want = g * qmath.expectation(a, psi).real
-            assert vonneumann.mean_pointer(out) == pytest.approx(want, abs=1e-8)
+            assert device_mean(out) == pytest.approx(want, abs=1e-8)
 
     def test_shift_guard_propagates(self):
         s = vonneumann.initial_state([1, 0], [a_pointer()])
@@ -118,37 +144,11 @@ class TestEvolveExact:
         s = vonneumann.initial_state([1, 0], [a_pointer()])
         with pytest.raises(DimensionError):
             vonneumann.evolve_exact(s, vonneumann.CouplingSpec(np.eye(3), 0.1))
-        with pytest.raises(MissingAxisError):
-            vonneumann.evolve_exact(s, vonneumann.CouplingSpec(np.eye(2), 0.1, pointer_axis=1))
-
-
-class TestEvolveFirstOrder:
-    def test_zero_strength_identity(self):
-        s = vonneumann.initial_state(THETA_I, [a_pointer()])
-        out = vonneumann.evolve_first_order(s, vonneumann.CouplingSpec(qmath.sigma_z, 0.0))
-        np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-15)
-
-    def test_close_to_exact_at_first_order(self):
-        s0 = vonneumann.initial_state(THETA_I, [a_pointer()])
-        c = vonneumann.CouplingSpec(qmath.sigma_z, G_A)
-        exact = vonneumann.evolve_exact(s0, c)
-        first = vonneumann.evolve_first_order(s0, c)
-        scale = np.max(np.abs(exact.amplitudes))
-        gap = np.max(np.abs(exact.amplitudes - first.amplitudes))
-        assert gap <= 2.5e-3 * scale
-
-    def test_norm_grows_at_second_order(self):
-        s0 = vonneumann.initial_state(THETA_I, [a_pointer()])
-        c = vonneumann.CouplingSpec(qmath.sigma_z, G_A)
-        out = vonneumann.evolve_first_order(s0, c)
-        # norm^2 = 1 + (g/hbar)^2 <A^2><pi^2> with <pi^2> = hbar^2/(4 sigma^2)
-        want = 1.0 + G_A**2 * 1.0 * 0.25
-        assert vonneumann.total_norm(out) ** 2 == pytest.approx(want, abs=1e-9)
 
 
 class TestDeviceDensities:
     def test_product_state_factorizes(self):
-        s = vonneumann.initial_state(THETA_I, [a_pointer(), f_pointer()])
+        s = product_pair(THETA_I)
         p = vonneumann.device_density(s)
         pa = p.sum(axis=1) * s.pointers[1].dx
         pf = p.sum(axis=0) * s.pointers[0].dx
@@ -156,8 +156,13 @@ class TestDeviceDensities:
         assert np.min(p) >= 0.0
 
     def test_identity_coupling_keeps_factorization(self):
-        s = vonneumann.initial_state(THETA_I, [a_pointer(), f_pointer()])
-        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(np.eye(2), G_A, 0))
+        # the identity never marks the system, so device A factors out even
+        # once device F is coupled to it
+        s = vonneumann.initial_state(THETA_I, [a_pointer()])
+        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(np.eye(2), G_A))
+        s = vonneumann.attach_exact(
+            s, f_pointer(), vonneumann.CouplingSpec(qmath.projector(THETA_F), G_F)
+        )
         p = vonneumann.device_density(s)
         pa = p.sum(axis=1) * s.pointers[1].dx
         pf = p.sum(axis=0) * s.pointers[0].dx
@@ -178,7 +183,7 @@ class TestDeviceDensities:
             vonneumann.mean_pointer(s, 1)
 
     def test_momentum_density_fresh_state(self):
-        s = vonneumann.initial_state(THETA_I, [a_pointer(), f_pointer()])
+        s = product_pair(THETA_I)
         pm = vonneumann.device_momentum_density(s)
         dp = 2 * np.pi * HBAR / s.pointers[0].extent
         assert np.sum(pm) * dp * s.pointers[1].dx == pytest.approx(1.0, abs=1e-10)
@@ -189,12 +194,12 @@ class TestDeviceDensities:
     def test_momentum_density_imaginary_scenario(self):
         # sigma_x with post-selection (|0>+i|1>)/sqrt(2) drags the selected
         # pointer momentum negative; post-selected mean frozen from the
-        # dense-tensor oracle
+        # dense-tensor route this state once had
         ini = np.array([1, 0], dtype=complex)
         fin = np.array([1, 1j], dtype=complex) / np.sqrt(2)
-        s = vonneumann.initial_state(ini, [a_pointer(), f_pointer()])
-        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_x, G_A, 0))
-        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.projector(fin), G_F, 1))
+        s = vonneumann.initial_state(ini, [a_pointer()])
+        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(qmath.sigma_x, G_A))
+        s = vonneumann.attach_exact(s, f_pointer(), vonneumann.CouplingSpec(qmath.projector(fin), G_F))
         pm = vonneumann.device_momentum_density(s)
         dp = 2 * np.pi * HBAR / s.pointers[0].extent
         mom = pointer.momentum_values(s.pointers[0])
@@ -210,8 +215,8 @@ class TestMomentsAndOrder:
     def test_theta_scenario_pointer_means(self):
         s = theta_state()
         # the A mean is exact at strength*<I|A|I>; the F mean carries the
-        # O(g^2) branch-decoherence term 0.375*(1-exp(-g^2/2)), frozen from
-        # the dense-tensor oracle
+        # O(g^2) branch-decoherence term 0.375*(1-exp(-g^2/2)), the closed
+        # form 0.5625 + 0.0625 - 0.375*exp(-g^2/2)
         assert vonneumann.mean_pointer(s, 0) == pytest.approx(0.025, abs=1e-8)
         assert vonneumann.mean_pointer(s, 1) == pytest.approx(0.250468457153, abs=1e-9)
         assert vonneumann.mean_pointer(s, 1) == pytest.approx(0.25, abs=1e-3)
@@ -223,10 +228,10 @@ class TestMomentsAndOrder:
         assert vonneumann.position_correlation(s) / G_A == pytest.approx(0.5, abs=1e-10)
 
     def test_identity_coupling_correlation(self):
-        s = vonneumann.initial_state(THETA_I, [a_pointer(), f_pointer()])
-        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(np.eye(2), G_A, 0))
-        s = vonneumann.evolve_exact(
-            s, vonneumann.CouplingSpec(qmath.projector(THETA_F), G_F, 1)
+        s = vonneumann.initial_state(THETA_I, [a_pointer()])
+        s = vonneumann.evolve_exact(s, vonneumann.CouplingSpec(np.eye(2), G_A))
+        s = vonneumann.attach_exact(
+            s, f_pointer(), vonneumann.CouplingSpec(qmath.projector(THETA_F), G_F)
         )
         corr = vonneumann.position_correlation(s)
         want = G_A * vonneumann.mean_pointer(s, 1)
@@ -257,16 +262,49 @@ class TestMomentsAndOrder:
         forward = vonneumann.position_correlation(theta_state(order="af"))
         reverse = vonneumann.position_correlation(theta_state(order="fa"))
         # selecting first collapses the system before the weak probe: the
-        # branch algebra gives 0.125*g*g_F instead of 0.5*g*g_F
+        # branch algebra gives 0.125*g*g_F instead of 0.5*g*g_F.  In the
+        # reverse order F is device 0, and <x_A x_F> is symmetric in the two
         assert abs(forward - reverse) > 0.01
         assert reverse / G_A == pytest.approx(0.125, abs=1e-6)
 
 
-def dense_reference(i_vec, grids, first, second):
-    """Two-axis initial_state taken through two evolve_exact calls."""
-    s = vonneumann.initial_state(i_vec, list(grids))
-    s = vonneumann.evolve_exact(s, first)
-    return vonneumann.evolve_exact(s, second)
+def gaussian(x, sigma):
+    """The continuum ground Gaussian that gaussian_pointer samples."""
+    return (2 * np.pi * sigma**2) ** -0.25 * np.exp(-(x**2) / (4 * sigma**2))
+
+
+def gaussian_momentum(p, sigma, hbar):
+    """Its momentum representation, sum |.|^2 dp = 1."""
+    return (2 * sigma**2 / (np.pi * hbar**2)) ** 0.25 * np.exp(-((sigma * p / hbar) ** 2))
+
+
+def analytic_branches(sc, second, momentum=False):
+    """Closed-form (w, amp_a, amp_f) of the coupled state, on sc's grids.
+
+    w holds the second observable's eigenvectors w_k as columns; amp_a
+    (n_A x K) is w_k^H psi_A = sum_a c_ka phi_A(x - b_a) over A's branches,
+    or its momentum representation; amp_f (K x n_F) is phi_F shifted by
+    gF_tF lambda_k.  Psi = sum_k w_k amp_a[:, k] amp_f[k].
+    """
+    a = qmath.herm_eig(sc.a_matrix)
+    b = qmath.herm_eig(qmath.projector(sc.f_vector) if second is None else second)
+    shifts = sc.ga_ta * a.eigenvalues
+    c = (b.eigenvectors.conj().T @ a.eigenvectors) * (a.eigenvectors.conj().T @ sc.i_vector)
+    grid_a, grid_f = sc.grid_a(), sc.grid_f()
+    if momentum:
+        p = pointer.momentum_values(grid_a)
+        cols = gaussian_momentum(p, grid_a.sigma, sc.hbar)[:, None] \
+            * np.exp(-1j * np.multiply.outer(p, shifts) / sc.hbar)
+    else:
+        cols = gaussian(grid_a.positions[:, None] - shifts, grid_a.sigma)
+    centres = sc.gf_tf * b.eigenvalues
+    amp_f = gaussian(grid_f.positions[None, :] - centres[:, None], grid_f.sigma)
+    return b.eigenvectors, cols @ c.T, amp_f
+
+
+def analytic_density(sc, second, momentum=False):
+    _, amp_a, amp_f = analytic_branches(sc, second, momentum)
+    return np.abs(amp_a) ** 2 @ amp_f**2
 
 
 def qutrit_pair():
@@ -281,67 +319,95 @@ def qutrit_pair():
     return a, q @ b @ q.conj().T, ini / np.linalg.norm(ini)
 
 
+def qutrit_scenario():
+    """The qutrit pair as a scenario, with its second observable.
+
+    Its A grid holds 20 sigma a side, as the presets' do, so the grid
+    pointer equals the continuum Gaussian to rounding.  f_vector is unused:
+    the second observable takes the place of |F><F|.
+    """
+    a, b, ini = qutrit_pair()
+    sc = replace(
+        scenario.preset("qubit-theta30"), system_dim=3, a_matrix=a, i_vector=ini, f_vector=ini,
+        ga_ta=0.2, gf_tf=0.9, pointer_a=PointerSettings(1.0, 512, 40.0),
+        pointer_f=PointerSettings(0.05, 512, 4.0),
+    )
+    return sc, b
+
+
 @pytest.fixture(scope="module", params=["qubit-theta30", "imaginary-sigma-x", "qutrit"])
 def pair(request):
-    """(factored state, dense reference) for one scenario."""
+    """(state after the A coupling, factored two-device state, scenario, second observable).
+
+    The second observable is None where it is the scenario's |F><F|.
+    """
     if request.param == "qutrit":
-        a, b, ini = qutrit_pair()
-        grids = (a_pointer(), f_pointer())
-        first = vonneumann.CouplingSpec(a, 0.2, 0)
-        second = vonneumann.CouplingSpec(b, 0.9, 1)
-        after_a = vonneumann.evolve_exact(vonneumann.initial_state(ini, grids[:1]), first)
-        factored = vonneumann.attach_exact(after_a, grids[1], second)
-        return factored, dense_reference(ini, grids, first, second)
+        sc, second = qutrit_scenario()
+        after_a = vonneumann.evolve_exact(
+            vonneumann.initial_state(sc.i_vector, [sc.grid_a()]),
+            vonneumann.CouplingSpec(sc.a_matrix, sc.ga_ta),
+        )
+        factored = vonneumann.attach_exact(
+            after_a, sc.grid_f(), vonneumann.CouplingSpec(second, sc.gf_tf)
+        )
+        return after_a, factored, sc, second
     sc = scenario.preset(request.param)
-    dense = dense_reference(
-        sc.i_vector,
-        (sc.grid_a(), sc.grid_f()),
-        vonneumann.CouplingSpec(sc.a_matrix, sc.ga_ta, 0),
-        vonneumann.CouplingSpec(qmath.projector(sc.f_vector), sc.gf_tf, 1),
-    )
-    return estimator.coupled_state(sc), dense
+    return estimator.after_a_coupling(sc), estimator.coupled_state(sc), sc, None
 
 
 class TestFactoredMatchesDense:
+    """The factored readers against the closed-form state; peaks are 1.6-4.8."""
+
     def test_position_density(self, pair):
-        factored, dense = pair
+        _, factored, sc, second = pair
         got = vonneumann.device_density(factored)
-        assert np.max(np.abs(got - vonneumann.device_density(dense))) <= 1e-12
+        assert np.max(np.abs(got - analytic_density(sc, second))) <= 1e-12
 
     def test_momentum_density(self, pair):
-        factored, dense = pair
+        _, factored, sc, second = pair
         got = vonneumann.device_momentum_density(factored)
-        assert np.max(np.abs(got - vonneumann.device_momentum_density(dense))) <= 1e-12
+        assert np.max(np.abs(got - analytic_density(sc, second, momentum=True))) <= 1e-12
 
     def test_moments(self, pair):
-        factored, dense = pair
-        for axis in (0, 1):
-            got = vonneumann.mean_pointer(factored, axis)
-            assert got == pytest.approx(vonneumann.mean_pointer(dense, axis), abs=1e-12)
+        _, factored, sc, second = pair
+        want = estimator.gaussian_moments(sc, second)
+        assert vonneumann.mean_pointer(factored, 0) == pytest.approx(want["mean_A"], abs=1e-12)
+        assert vonneumann.mean_pointer(factored, 1) == pytest.approx(want["mean_F"], abs=1e-12)
         got = vonneumann.position_correlation(factored)
-        assert got == pytest.approx(vonneumann.position_correlation(dense), abs=1e-12)
+        assert got == pytest.approx(want["correlation_AF"], abs=1e-12)
         assert vonneumann.total_norm(factored) == pytest.approx(1.0, abs=1e-10)
 
     def test_expands_to_dense_amplitudes(self, pair):
-        factored, dense = pair
-        assert np.max(np.abs(factored.to_joint().amplitudes - dense.amplitudes)) <= 1e-12
+        _, factored, sc, second = pair
+        w, amp_a, amp_f = analytic_branches(sc, second)
+        want = np.einsum("sk,xk,ky->sxy", w, amp_a, amp_f)
+        got = np.einsum("ksx,ky->sxy", factored.blocks, factored.columns)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_system_cut(self, pair):
-        factored, dense = pair
-        got = entanglement.product_check(factored, "system").singular_values
-        want = entanglement.product_check(dense, "system").singular_values
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the cut diagnostics reports, on the state after the A coupling:
+        # psi = sum_a e_a phi_A(x - b_a) with e_a = v_a <v_a|I>, so the
+        # system's reduced matrix is E S E^H with the closed-form overlaps S
+        after_a, _, sc, _ = pair
+        dec = qmath.herm_eig(sc.a_matrix)
+        e = dec.eigenvectors * (dec.eigenvectors.conj().T @ sc.i_vector)
+        shifts = sc.ga_ta * dec.eigenvalues
+        overlap = np.exp(-np.subtract.outer(shifts, shifts) ** 2 / (8 * sc.pointer_a.sigma**2))
+        want = np.sqrt(np.clip(np.linalg.eigvalsh(e @ overlap @ e.conj().T)[::-1], 0.0, None))
+        got = entanglement.product_check(after_a, "system").singular_values
+        np.testing.assert_allclose(got, want / np.linalg.norm(want), rtol=0, atol=1e-12)
 
     def test_densities_nonnegative(self, pair):
         # _cell_cdf needs a nonnegative weight in every cell
-        factored, _ = pair
+        _, factored, _, _ = pair
         assert np.min(vonneumann.device_density(factored)) >= 0.0
         assert np.min(vonneumann.device_momentum_density(factored)) >= 0.0
 
     def test_never_holds_the_joint_tensor(self, pair):
-        factored, dense = pair
+        _, factored, _, _ = pair
+        dense_bytes = 16 * factored.system_dim * factored.blocks.shape[2] * factored.columns.shape[1]
         assert not hasattr(factored, "amplitudes")
-        assert factored.blocks.nbytes + factored.columns.nbytes < dense.amplitudes.nbytes / 64
+        assert factored.blocks.nbytes + factored.columns.nbytes < dense_bytes / 64
 
 
 def test_readers_keep_cross_branch_terms():
@@ -378,24 +444,26 @@ class TestAttachExact:
         s = vonneumann.initial_state(THETA_I, [a_pointer()])
         with pytest.raises(GridExtentError):
             vonneumann.attach_exact(
-                s, f_pointer(), vonneumann.CouplingSpec(qmath.projector(THETA_F), 2.0, 1)
+                s, f_pointer(), vonneumann.CouplingSpec(qmath.projector(THETA_F), 2.0)
             )
 
     def test_needs_one_axis_and_axis_one(self):
+        # the input is a one-device JointState, and the fresh device becomes axis 1
+        grid = pointer.gaussian_pointer(1.0, 64, 16.0, HBAR)
+        with pytest.raises(MissingAxisError):
+            vonneumann.JointState(2, (grid, grid), np.zeros((2, 64, 64)))
         one = vonneumann.initial_state(THETA_I, [a_pointer()])
-        two = vonneumann.initial_state(THETA_I, [a_pointer(), f_pointer()])
         fhat = qmath.projector(THETA_F)
-        with pytest.raises(MissingAxisError):
-            vonneumann.attach_exact(two, f_pointer(), vonneumann.CouplingSpec(fhat, G_F, 1))
-        with pytest.raises(MissingAxisError):
-            vonneumann.attach_exact(one, f_pointer(), vonneumann.CouplingSpec(fhat, G_F, 0))
+        fresh = f_pointer()
+        state = vonneumann.attach_exact(one, fresh, vonneumann.CouplingSpec(fhat, G_F))
+        assert state.pointers[0] is one.pointers[0] and state.pointers[1] is fresh
         with pytest.raises(DimensionError):
-            vonneumann.attach_exact(one, f_pointer(), vonneumann.CouplingSpec(np.eye(3), G_F, 1))
+            vonneumann.attach_exact(one, fresh, vonneumann.CouplingSpec(np.eye(3), G_F))
 
     def test_block_shapes_checked(self):
         s = vonneumann.initial_state(THETA_I, [a_pointer()])
         state = vonneumann.attach_exact(
-            s, f_pointer(), vonneumann.CouplingSpec(qmath.projector(THETA_F), G_F, 1)
+            s, f_pointer(), vonneumann.CouplingSpec(qmath.projector(THETA_F), G_F)
         )
         with pytest.raises(DimensionError):
             vonneumann.FactoredState(2, state.pointers, state.blocks, state.columns[:1])
