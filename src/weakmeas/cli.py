@@ -32,6 +32,9 @@ from .errors import OutputError, ScenarioError, WeakmeasError
 from .scenario import Scenario
 
 SEED_ENV_VAR = "WEAKMEAS_SEED"
+# upper bound of --threads: a pool starts up to this many threads, and a
+# sampling run holds up to twice as many finished chunks
+MAX_THREADS = 64
 SWEEP_PARAMS = ("gA_tA", "theta", "sigma_F")
 SWEEP_HEADER = "param,value,estimate,std_error,re_formula,im_formula,abs_error"
 
@@ -275,11 +278,11 @@ def _load(args) -> Scenario:
 
 
 def _thread_count(text: str) -> int:
-    """argparse type for --threads: an integer >= 1, else a usage error (exit 2)."""
+    """argparse type for --threads: an integer in [1, MAX_THREADS], else a usage error (exit 2)."""
     with contextlib.suppress(ValueError):
-        if int(text) >= 1:
+        if 1 <= int(text) <= MAX_THREADS:
             return int(text)
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected an integer from 1 to {MAX_THREADS}, got {text!r}")
 
 
 def _add_source_options(parser):
@@ -289,7 +292,7 @@ def _add_source_options(parser):
     parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument(
         "--threads", type=_thread_count, default=1,
-        help="worker threads (at least 1); never changes output bytes",
+        help=f"worker threads (1 to {MAX_THREADS}); never changes output bytes",
     )
 
 

@@ -320,13 +320,18 @@ def _draw_cells(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     Comparison-Based Searching", ACM JEA 22, 2017) runs one level at a time
     over every key: each level is one gather of independent loads whose cache
     misses overlap, where a per-key search waits on log2(cdf.size) dependent
-    misses.  The probe base + half never passes the last cell.
+    misses.  A level gathers its probes base + half through the offset view
+    cdf[half:], so no probe index array is built; the probe never passes the
+    last cell, so the view holds every probe.  The keys are made contiguous
+    once, because every level reads them again and a column of the uniform
+    block is strided.
     """
+    u = np.ascontiguousarray(u)
     base = np.zeros(u.size, dtype=np.intp)
     n = cdf.size
     while n > 1:
         half = n // 2
-        base += (cdf.take(base + half) <= u) * half
+        base += (cdf[half:].take(base) <= u) * half
         n -= half
     base += cdf.take(base) <= u
     return np.minimum(base, cdf.size - 1, out=base)
@@ -351,12 +356,15 @@ def sample_records(sc: Scenario, n: int, seed=None, threads: int = 1, start: int
     del density  # the CDF overwrites the only n_A * n_F buffer
     weights *= step_a * step_f
     cdf = _cell_cdf(weights)
+    # n_F is a power of two, so a cell index splits by shift and mask
     n_cols = vals_f.size
+    col_bits = n_cols.bit_length() - 1
     threshold = sc.run.threshold
 
     def worker(chunk_index, row_lo, row_hi):
         u = _uniform_block(seed, chunk_index, row_lo, row_hi)
-        row, col = np.divmod(_draw_cells(cdf, u[:, 0]), n_cols)
+        cells = _draw_cells(cdf, u[:, 0])
+        row, col = cells >> col_bits, cells & (n_cols - 1)
         xa = vals_a[row] + (u[:, 1] - 0.5) * step_a
         xf = vals_f[col] + (u[:, 2] - 0.5) * step_f
         return xa, xf, xf > threshold

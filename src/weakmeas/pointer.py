@@ -152,22 +152,20 @@ def shift(p: PointerGrid, delta: float) -> PointerGrid:
     return PointerGrid(p.n_points, p.extent, p.sigma, p.hbar, shifted)
 
 
-def momentum_amplitudes(amps: np.ndarray, p: PointerGrid, axis: int = -1) -> np.ndarray:
-    """Momentum-representation samples of amps along one axis, momenta ascending.
+def momentum_amplitudes(amps: np.ndarray, p: PointerGrid) -> np.ndarray:
+    """Momentum-representation samples of amps along the last axis, momenta ascending.
 
-    amps holds position samples on p's grid along `axis` and anything
-    (system index, branch index, a second device) along the others.
+    amps holds position samples on p's grid along its last axis and anything
+    (system index, branch index) along the others.
     psi~(p) = (2 pi hbar)^(-1/2) integral psi(x) exp(-i p x / hbar) dx is
     evaluated by the FFT and reordered to match momentum_values(p).
     """
-    shape = [1] * amps.ndim
-    shape[axis] = p.n_points
     # the grid starts at -extent/2, which contributes an alternating phase
     # relative to the index-0-based FFT sum
-    phase = np.where(np.arange(p.n_points) % 2 == 0, 1.0, -1.0).reshape(shape)
-    ft = np.fft.fft(amps, axis=axis) * phase
+    phase = np.where(np.arange(p.n_points) % 2 == 0, 1.0, -1.0)
+    ft = np.fft.fft(amps) * phase
     ft *= p.dx / np.sqrt(2 * np.pi * p.hbar)
-    return np.fft.fftshift(ft, axes=axis)
+    return np.fft.fftshift(ft, axes=-1)
 
 
 def to_momentum(p: PointerGrid) -> MomentumGrid:

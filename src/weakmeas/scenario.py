@@ -32,6 +32,9 @@ A_HERMITICITY_ACCURACY = 1e-12
 TOP_LEVEL_KEYS = ("system_dim", "A_matrix", "I_vector", "F_vector", "gA_tA", "gF_tF",
                   "hbar", "pointer_A", "pointer_F", "run")
 POINTER_KEYS = ("sigma", "n_points", "extent")
+# largest grid per device, checked before any grid is built: 16 MB of complex
+# amplitudes per system component (the joint n_A x n_F size is not bounded here)
+MAX_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,8 @@ def _parse_pointer(raw, where: str) -> PointerSettings:
     n_points = _require(raw, "n_points", where)
     if not _is_int(n_points) or n_points < 2 or n_points & (n_points - 1):
         raise ScenarioError(f"{where}.n_points: expected a power of two >= 2, got {n_points!r}")
+    if n_points > MAX_POINTS:
+        raise ScenarioError(f"{where}.n_points: at most {MAX_POINTS}, got {n_points!r}")
     extent = _positive_real(_require(raw, "extent", where), f"{where}.extent")
     return PointerSettings(sigma=sigma, n_points=n_points, extent=extent)
 

@@ -254,6 +254,36 @@ class TestThreadsOption:
         assert "--threads" in captured.err and "Traceback" not in captured.err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("threads", [str(cli.MAX_THREADS + 1), "5000"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_above_cap_exits_two(self, tmp_path, raw, capsys, command, threads):
+        # argparse rejects the value before the scenario loads, so no thread starts
+        out = str(tmp_path / "out.csv")
+        extra = ["--param", "theta", "--values", "0.5", "--out", out] if command == "sweep" else []
+        code = cli.main([command, "--config", dump(tmp_path, raw), "--threads", threads, *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--threads" in captured.err and "Traceback" not in captured.err
+        assert not os.path.exists(out)
+
+    def test_cap_is_inclusive(self):
+        args = cli.build_parser().parse_args(
+            ["run", "--preset", "qubit-theta30", "--threads", str(cli.MAX_THREADS)]
+        )
+        assert args.threads == cli.MAX_THREADS
+
+
+class TestGridBound:
+    @pytest.mark.parametrize("field", ["pointer_A", "pointer_F"])
+    def test_huge_grid_exits_two(self, tmp_path, raw, capsys, field):
+        # 2**40 points would be an 8 TiB array per device; the check runs at load
+        raw["run"]["mode"] = "exact-moments"
+        raw[field]["n_points"] = 2**40
+        code = cli.main(["run", "--config", dump(tmp_path, raw)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{field}.n_points" in captured.err and "Traceback" not in captured.err
+
 
 class TestSweep:
     def test_theta_formula_column(self, tmp_path, raw, capsys):

@@ -3,6 +3,7 @@ import io
 import math
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -164,23 +165,84 @@ def tied_cdfs(draw):
 class TestDrawCells:
     """The level-by-level search must equal the clamped searchsorted exactly."""
 
-    # 200 examples of at most ~6,000 keys each: about 0.5 s in all, kept under 1 s
+    # 200 examples of at most ~6,000 keys each, in three layouts: about 0.5 s in all
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(tied_cdfs())
     def test_matches_searchsorted(self, cdf):
         # sorted and at most 1, so a key of 1.0 finds the same cell either way
         assert np.all(np.diff(cdf) >= 0) and np.all(cdf <= 1.0) and cdf[-1] == 1.0
         keys = edge_keys(cdf)
-        got = estimator._draw_cells(cdf, keys)
-        assert got.dtype == np.intp
-        np.testing.assert_array_equal(got, reference_cells(cdf, keys))
+        want = reference_cells(cdf, keys)
+        # the samplers pass a strided column of a (k, 3) uniform block
+        block = np.zeros((keys.size, 3))
+        block[:, 1] = keys
+        for view, expect in ((keys, want), (block[:, 1], want), (keys[::-1], want[::-1])):
+            got = estimator._draw_cells(cdf, view)
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, expect)
 
     def test_joint_cdf_first_chunk(self, theta30):
-        state = estimator.coupled_state(theta30)
-        density, _, step_a, _, step_f = estimator._readout_axis(theta30, state)
-        cdf = estimator._cell_cdf(density.ravel() * (step_a * step_f))
+        cdf = joint_cdf(theta30)
         u = estimator._uniform_block(theta30.run.seed, 0, 0, estimator.CHUNK_SIZE)[:, 0]
         np.testing.assert_array_equal(estimator._draw_cells(cdf, u), reference_cells(cdf, u))
+
+    def test_chunk_memory_bound(self, theta30):
+        # README "Memory": four 0.5 MB arrays per chunk being drawn (the
+        # contiguous keys, the positions, the gathered values, a level's step)
+        cdf = joint_cdf(theta30)
+        u = estimator._uniform_block(theta30.run.seed, 0, 0, estimator.CHUNK_SIZE)[:, 0]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            estimator._draw_cells(cdf, u)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * estimator.CHUNK_SIZE * 8
+
+
+def joint_cdf(sc):
+    state = estimator.coupled_state(sc)
+    density, _, step_a, _, step_f = estimator._readout_axis(sc, state)
+    return estimator._cell_cdf(density.ravel() * (step_a * step_f))
+
+
+def divmod_records(sc, n):
+    """sample_records' columns rebuilt with np.divmod splitting each cell index."""
+    state = estimator.coupled_state(sc)
+    _, vals_a, step_a, vals_f, step_f = estimator._readout_axis(sc, state)
+    cdf = joint_cdf(sc)
+    xa, xf = [], []
+    for chunk_index, row_lo, row_hi in estimator._chunk_plan(0, n):
+        u = estimator._uniform_block(sc.run.seed, chunk_index, row_lo, row_hi)
+        row, col = np.divmod(estimator._draw_cells(cdf, u[:, 0]), vals_f.size)
+        xa.append(vals_a[row] + (u[:, 1] - 0.5) * step_a)
+        xf.append(vals_f[col] + (u[:, 2] - 0.5) * step_f)
+    return np.concatenate(xa), np.concatenate(xf)
+
+
+class TestCellSplit:
+    """sample_records splits a cell index by shift and mask, as np.divmod does."""
+
+    @pytest.mark.parametrize("name", ["qubit-theta30", "imaginary-sigma-x"])
+    def test_presets(self, name):
+        sc = scenario.preset(name)
+        batch = estimator.sample_records(sc, 70000)
+        xa, xf = divmod_records(sc, 70000)
+        np.testing.assert_array_equal(batch.value_A, xa)
+        np.testing.assert_array_equal(batch.value_F, xf)
+
+    def test_non_square_grid(self, theta30):
+        # n_A < n_F, so a split by the wrong axis's size would move every cell
+        sc = replace(
+            theta30,
+            pointer_a=scenario.PointerSettings(sigma=1.0, n_points=256, extent=40.0),
+            pointer_f=scenario.PointerSettings(sigma=0.05, n_points=2048, extent=4.0),
+        )
+        batch = estimator.sample_records(sc, 70000)
+        xa, xf = divmod_records(sc, 70000)
+        np.testing.assert_array_equal(batch.value_A, xa)
+        np.testing.assert_array_equal(batch.value_F, xf)
 
 
 class TestSummarize:

@@ -205,6 +205,16 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="pointer_F.n_points"):
             scenario.from_dict(raw)
 
+    @pytest.mark.parametrize("field", ["pointer_A", "pointer_F"])
+    def test_n_points_bounded(self, field):
+        raw = base_dict()
+        raw[field]["n_points"] = 2 * scenario.MAX_POINTS
+        with pytest.raises(ScenarioError, match=f"{field}.n_points: at most"):
+            scenario.from_dict(raw)
+        # loading builds no grid, so the largest size is checked without allocating one
+        raw[field]["n_points"] = scenario.MAX_POINTS
+        assert getattr(scenario.from_dict(raw), field.lower()).n_points == scenario.MAX_POINTS
+
 
 class TestDefaults:
     def test_run_block_optional(self):
