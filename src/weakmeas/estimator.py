@@ -29,6 +29,9 @@ from .errors import EmptyPostSelectionError
 from .scenario import Scenario
 
 CHUNK_SIZE = 1 << 16
+# inverse-CDF lookup: at most 2**GUIDE_BITS guide buckets, WINDOW_LEVELS levels in each
+GUIDE_BITS = 16
+WINDOW_LEVELS = 3
 WORDS_PER_RECORD = 3
 BOOST_IDENTITY_ACCURACY = 1e-12
 # rows per formatted write in dump_records: large enough to amortise the
@@ -312,28 +315,59 @@ def _cell_cdf(weights: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw_cells(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _cell_guide(cdf: np.ndarray):
+    """(starts, wide) over M = 2**min(GUIDE_BITS, ceil(log2 cdf.size)) value buckets.
+
+    starts[j] counts the entries <= j/M, exact as M is a power of two; wide[j]
+    flags a bucket of 2**WINDOW_LEVELS entries or more.
+    """
+    m = 1 << min(GUIDE_BITS, (cdf.size - 1).bit_length())
+    starts = cdf.searchsorted(np.arange(m + 1) / m, side="right")
+    return starts, np.diff(starts) >= 1 << WINDOW_LEVELS
+
+
+def _search_levels(cdf: np.ndarray, base: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """Narrow each key's answer from the n candidates base .. base + n - 1, in place.
+
+    Khuong & Morin's branch-free search ("Array Layouts for Comparison-Based
+    Searching", ACM JEA 22, 2017), one level over every key at a time, so a
+    level's cache misses overlap: cdf[base + half - 1] <= u puts the answer
+    at base + half or above.  The offset view cdf[half - 1:] saves a probe
+    index array; mode="clip" reads a probe past the end as the last cell.
+    """
+    while n > 1:
+        half = n // 2
+        base += (cdf[half - 1:].take(base, mode="clip") <= u) * half
+        n -= half
+    return base
+
+
+def _draw_cells(cdf: np.ndarray, guide, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF lookup: the cell index of each uniform, clamped to the last cell.
 
     The index counts the CDF entries <= u, exactly searchsorted(side="right").
-    Khuong & Morin's branch-free binary search ("Array Layouts for
-    Comparison-Based Searching", ACM JEA 22, 2017) runs one level at a time
-    over every key: each level is one gather of independent loads whose cache
-    misses overlap, where a per-key search waits on log2(cdf.size) dependent
-    misses.  A level gathers its probes base + half through the offset view
-    cdf[half:], so no probe index array is built; the probe never passes the
-    last cell, so the view holds every probe.  The keys are made contiguous
-    once, because every level reads them again and a column of the uniform
-    block is strided.
+    Chen & Asau's guide table ("On generating random variates from an
+    empirical distribution", AIIE Trans. 6, 1974) bounds it to u's bucket
+    j = min(floor(u M), M - 1): entries below starts[j] are <= j/M <= u, and
+    those from starts[j + 1] on are > (j+1)/M > u.  WINDOW_LEVELS levels from
+    starts[j] then find it in a bucket of under 2**WINDOW_LEVELS entries; a
+    probe past the bucket reads an entry > u, or 1.0 clipped, which only a
+    key of 1.0 passes and the clamp takes back.  Keys in wide buckets, and
+    all keys of a CDF of at most 2**WINDOW_LEVELS cells, take the full
+    search.  The keys are made contiguous once, as every level reads them.
     """
     u = np.ascontiguousarray(u)
-    base = np.zeros(u.size, dtype=np.intp)
-    n = cdf.size
-    while n > 1:
-        half = n // 2
-        base += (cdf[half:].take(base) <= u) * half
-        n -= half
-    base += cdf.take(base) <= u
+    if cdf.size <= 1 << WINDOW_LEVELS:
+        base = _search_levels(cdf, np.zeros(u.size, dtype=np.intp), u, cdf.size + 1)
+        return np.minimum(base, cdf.size - 1, out=base)
+    starts, wide = guide
+    j = (u * wide.size).astype(np.intp)  # u >= 0, so the cast floors
+    np.minimum(j, wide.size - 1, out=j)
+    far = np.flatnonzero(wide.take(j))
+    base = starts.take(j)
+    del j
+    _search_levels(cdf, base, u, 1 << WINDOW_LEVELS)
+    base[far] = _search_levels(cdf, np.zeros(far.size, dtype=np.intp), u[far], cdf.size + 1)
     return np.minimum(base, cdf.size - 1, out=base)
 
 
@@ -356,6 +390,7 @@ def sample_records(sc: Scenario, n: int, seed=None, threads: int = 1, start: int
     del density  # the CDF overwrites the only n_A * n_F buffer
     weights *= step_a * step_f
     cdf = _cell_cdf(weights)
+    guide = _cell_guide(cdf)
     # n_F is a power of two, so a cell index splits by shift and mask
     n_cols = vals_f.size
     col_bits = n_cols.bit_length() - 1
@@ -363,7 +398,7 @@ def sample_records(sc: Scenario, n: int, seed=None, threads: int = 1, start: int
 
     def worker(chunk_index, row_lo, row_hi):
         u = _uniform_block(seed, chunk_index, row_lo, row_hi)
-        cells = _draw_cells(cdf, u[:, 0])
+        cells = _draw_cells(cdf, guide, u[:, 0])
         row, col = cells >> col_bits, cells & (n_cols - 1)
         xa = vals_a[row] + (u[:, 1] - 0.5) * step_a
         xf = vals_f[col] + (u[:, 2] - 0.5) * step_f
@@ -395,20 +430,20 @@ def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int =
         unsel_amps = pointer.momentum_amplitudes(unsel_amps, grid_a)
     sel_density = np.abs(sel_amps) ** 2
     unsel_density = np.sum(np.abs(unsel_amps) ** 2, axis=0)
-    cdf_sel = _cell_cdf(sel_density) if sel_density.sum() > 0 else None
-    cdf_unsel = _cell_cdf(unsel_density) if unsel_density.sum() > 0 else None
+    cdfs = [_cell_cdf(d) if d.sum() > 0 else None for d in (sel_density, unsel_density)]
+    tables = [cdf if cdf is None else (cdf, _cell_guide(cdf)) for cdf in cdfs]
     threshold = sc.run.threshold
 
     def worker(chunk_index, row_lo, row_hi):
         u = _uniform_block(seed, chunk_index, row_lo, row_hi)
         chose_f = u[:, 0] < p_select
         xa = np.empty(row_hi - row_lo)
-        for mask, cdf in ((chose_f, cdf_sel), (~chose_f, cdf_unsel)):
+        for mask, table in zip((chose_f, ~chose_f), tables):
             if not np.any(mask):
                 continue
-            if cdf is None:
+            if table is None:
                 raise EmptyPostSelectionError("conditional readout density has no mass")
-            xa[mask] = vals_a[_draw_cells(cdf, u[mask, 1])] + (u[mask, 2] - 0.5) * step_a
+            xa[mask] = vals_a[_draw_cells(*table, u[mask, 1])] + (u[mask, 2] - 0.5) * step_a
         xf = np.where(chose_f, 1.0, 0.0)
         return xa, xf, xf > threshold
 

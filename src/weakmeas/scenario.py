@@ -32,9 +32,10 @@ A_HERMITICITY_ACCURACY = 1e-12
 TOP_LEVEL_KEYS = ("system_dim", "A_matrix", "I_vector", "F_vector", "gA_tA", "gF_tF",
                   "hbar", "pointer_A", "pointer_F", "run")
 POINTER_KEYS = ("sigma", "n_points", "extent")
-# largest grid per device, checked before any grid is built: 16 MB of complex
-# amplitudes per system component (the joint n_A x n_F size is not bounded here)
+# checked before any grid is built: the largest grid per device (16 MB of complex amplitudes
+# per system component) and the n_A x n_F density of sample-pointer and exact-moments (128 MB)
 MAX_POINTS = 2**20
+MAX_JOINT_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -218,6 +219,10 @@ def validate(sc: Scenario) -> Scenario:
                 f"{pname}.extent: {ps.extent} is below {MIN_EXTENT_SIGMAS} sigma"
             )
         check_shift_reach(reach, ps.sigma, ps.extent, f"{pname}.extent")
+    cells = sc.pointer_a.n_points * sc.pointer_f.n_points
+    if sc.run.mode in ("sample-pointer", "exact-moments") and cells > MAX_JOINT_CELLS:
+        raise ScenarioError(f"pointer_F.n_points: the joint grid {sc.pointer_a.n_points} x "
+                            f"{sc.pointer_f.n_points} = {cells} cells exceeds {MAX_JOINT_CELLS}")
     return sc
 
 

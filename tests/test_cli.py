@@ -284,6 +284,21 @@ class TestGridBound:
         assert code == 2 and captured.out == ""
         assert f"{field}.n_points" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("mode", ["sample-pointer", "exact-moments"])
+    def test_huge_joint_grid_exits_two(self, tmp_path, raw, capsys, monkeypatch, mode):
+        # 2**12 x 2**13 cells: each axis passes, the n_A x n_F density would not
+        def no_state(sc):
+            raise AssertionError("the joint bound must stop the run before any state")
+
+        monkeypatch.setattr(estimator, "coupled_state", no_state)
+        raw["run"]["mode"] = mode
+        raw["pointer_A"]["n_points"], raw["pointer_F"]["n_points"] = 2**12, 2**13
+        code = cli.main(["run", "--config", dump(tmp_path, raw)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "pointer_F.n_points" in captured.err and str(2**25) in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestSweep:
     def test_theta_formula_column(self, tmp_path, raw, capsys):

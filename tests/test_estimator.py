@@ -142,9 +142,12 @@ def reference_cells(cdf, u):
 
 
 def edge_keys(cdf):
-    """0, the largest double below 1, 1, and each CDF entry with its two neighbours."""
-    return np.concatenate([[0.0, np.nextafter(1.0, 0.0), 1.0], cdf,
-                           np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+    """0, the largest double below 1, 1, and each CDF entry and guide bucket
+    edge j/M with its two neighbours."""
+    m = estimator._cell_guide(cdf)[1].size
+    edges = np.concatenate([cdf, np.arange(m + 1) / m])
+    return np.concatenate([[0.0, np.nextafter(1.0, 0.0), 1.0], edges,
+                           np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
 
 
 @st.composite
@@ -177,24 +180,44 @@ class TestDrawCells:
         block = np.zeros((keys.size, 3))
         block[:, 1] = keys
         for view, expect in ((keys, want), (block[:, 1], want), (keys[::-1], want[::-1])):
-            got = estimator._draw_cells(cdf, view)
+            got = estimator._draw_cells(cdf, estimator._cell_guide(cdf), view)
             assert got.dtype == np.intp
             np.testing.assert_array_equal(got, expect)
 
     def test_joint_cdf_first_chunk(self, theta30):
         cdf = joint_cdf(theta30)
         u = estimator._uniform_block(theta30.run.seed, 0, 0, estimator.CHUNK_SIZE)[:, 0]
-        np.testing.assert_array_equal(estimator._draw_cells(cdf, u), reference_cells(cdf, u))
+        np.testing.assert_array_equal(estimator._draw_cells(cdf, estimator._cell_guide(cdf), u),
+                                      reference_cells(cdf, u))
+
+    @pytest.mark.parametrize("readout", ["position", "momentum"])
+    @pytest.mark.parametrize("name", ["qubit-theta30", "imaginary-sigma-x"])
+    def test_preset_first_chunk(self, name, readout):
+        sc = scenario.preset(name)
+        sc = replace(sc, run=replace(sc.run, readout=readout))
+        cdf = joint_cdf(sc)
+        u = estimator._uniform_block(sc.run.seed, 0, 0, estimator.CHUNK_SIZE)[:, 0]
+        got = estimator._draw_cells(cdf, estimator._cell_guide(cdf), u)
+        np.testing.assert_array_equal(got, reference_cells(cdf, u))
+
+    def test_wide_share_of_first_chunk(self, theta30):
+        # some keys take the full search, so both paths run, and few do, so
+        # the guide's window carries the lookup
+        _, wide = estimator._cell_guide(joint_cdf(theta30))
+        u = estimator._uniform_block(theta30.run.seed, 0, 0, estimator.CHUNK_SIZE)[:, 0]
+        share = wide[np.minimum((u * wide.size).astype(int), wide.size - 1)].mean()
+        assert 0 < share < 0.01
 
     def test_chunk_memory_bound(self, theta30):
         # README "Memory": four 0.5 MB arrays per chunk being drawn (the
         # contiguous keys, the positions, the gathered values, a level's step)
         cdf = joint_cdf(theta30)
+        guide = estimator._cell_guide(cdf)
         u = estimator._uniform_block(theta30.run.seed, 0, 0, estimator.CHUNK_SIZE)[:, 0]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            estimator._draw_cells(cdf, u)
+            estimator._draw_cells(cdf, guide, u)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -212,10 +235,11 @@ def divmod_records(sc, n):
     state = estimator.coupled_state(sc)
     _, vals_a, step_a, vals_f, step_f = estimator._readout_axis(sc, state)
     cdf = joint_cdf(sc)
+    guide = estimator._cell_guide(cdf)
     xa, xf = [], []
     for chunk_index, row_lo, row_hi in estimator._chunk_plan(0, n):
         u = estimator._uniform_block(sc.run.seed, chunk_index, row_lo, row_hi)
-        row, col = np.divmod(estimator._draw_cells(cdf, u[:, 0]), vals_f.size)
+        row, col = np.divmod(estimator._draw_cells(cdf, guide, u[:, 0]), vals_f.size)
         xa.append(vals_a[row] + (u[:, 1] - 0.5) * step_a)
         xf.append(vals_f[col] + (u[:, 2] - 0.5) * step_f)
     return np.concatenate(xa), np.concatenate(xf)

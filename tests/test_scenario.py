@@ -211,9 +211,23 @@ class TestValidation:
         raw[field]["n_points"] = 2 * scenario.MAX_POINTS
         with pytest.raises(ScenarioError, match=f"{field}.n_points: at most"):
             scenario.from_dict(raw)
-        # loading builds no grid, so the largest size is checked without allocating one
+        # loading builds no grid, so the largest size is checked without allocating one;
+        # in closed-form, since MAX_POINTS x 1024 is over the joint bound of sample-pointer
+        raw["run"]["mode"] = "closed-form"
         raw[field]["n_points"] = scenario.MAX_POINTS
         assert getattr(scenario.from_dict(raw), field.lower()).n_points == scenario.MAX_POINTS
+
+    @pytest.mark.parametrize("mode", scenario.MODES)
+    def test_joint_cells_bounded(self, mode):
+        # only sample-pointer and exact-moments build the n_A x n_F density
+        raw = base_dict()
+        raw["run"] = {"mode": mode}
+        raw["pointer_A"]["n_points"], raw["pointer_F"]["n_points"] = 2**12, 2**13
+        if mode in ("sample-pointer", "exact-moments"):
+            with pytest.raises(ScenarioError, match=f"pointer_F.n_points: .* = {2**25} cells"):
+                scenario.from_dict(raw)
+            raw["pointer_F"]["n_points"] = 2**12
+        assert scenario.from_dict(raw).run.mode == mode
 
 
 class TestDefaults:
