@@ -190,8 +190,10 @@ class TestDrawCells:
         np.testing.assert_array_equal(estimator._draw_cells(cdf, estimator._cell_guide(cdf), u),
                                       reference_cells(cdf, u))
 
-    @pytest.mark.parametrize("readout", ["position", "momentum"])
-    @pytest.mark.parametrize("name", ["qubit-theta30", "imaginary-sigma-x"])
+    # with test_joint_cdf_first_chunk, every preset x readout joint CDF
+    @pytest.mark.parametrize("name, readout", [("qubit-theta30", "momentum"),
+                                               ("imaginary-sigma-x", "position"),
+                                               ("imaginary-sigma-x", "momentum")])
     def test_preset_first_chunk(self, name, readout):
         sc = scenario.preset(name)
         sc = replace(sc, run=replace(sc.run, readout=readout))
