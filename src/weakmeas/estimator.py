@@ -38,6 +38,12 @@ BOOST_IDENTITY_ACCURACY = 1e-12
 # per-write cost, small enough that a block's text stays near 150 kB
 DUMP_BLOCK_ROWS = 4096
 _DUMP_ROW = "%d,%.17g,%.17g,%d\n"
+# when every value_F of a dump is bitwise +0.0 or 1.0 (not -0.0, not NaN), a row
+# ends in _DUMP_TAILS[2 * value_F + selected]: '%.17g' spells the two values 0
+# and 1, and '%d' spells the flag 0 or 1
+_DUMP_BINARY_ROW = "%d,%.17g,%s"
+_DUMP_TAILS = np.array(["0,0\n", "0,1\n", "1,0\n", "1,1\n"], dtype=object)
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 # numpy's pairwise float sum: nodes longer than this split, shorter ones are
 # summed with PAIRWISE_UNROLL accumulators
 PAIRWISE_LEAF = 128
@@ -541,8 +547,18 @@ def dump_records(records, handle) -> None:
     start = getattr(records, "start", 0)
     if start == 0:
         handle.write("index,value_A,value_F,selected\n")
+    bits = xf.view(np.uint64)
+    one = bits == _ONE_BITS
+    binary = np.all(one | (bits == 0))
     for lo in range(0, xa.size, DUMP_BLOCK_ROWS):
         hi = min(lo + DUMP_BLOCK_ROWS, xa.size)
+        if binary:
+            cells = [None] * (3 * (hi - lo))
+            cells[0::3] = range(start + lo, start + hi)
+            cells[1::3] = xa[lo:hi].tolist()
+            cells[2::3] = _DUMP_TAILS[2 * one[lo:hi] + sel[lo:hi]].tolist()
+            handle.write(_DUMP_BINARY_ROW * (hi - lo) % tuple(cells))
+            continue
         # one %-format over the interleaved block; '%.17g' of a Python
         # float spells every value as format(value, '.17g') does
         cells = [None] * (4 * (hi - lo))

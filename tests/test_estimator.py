@@ -568,6 +568,55 @@ class TestBlockWriter:
         )
 
 
+def binary_batch(n):
+    """value_F of 0.0 or 1.0 and a flag drawn apart from it, so all four pairs occur."""
+    rng = np.random.default_rng([1604, n])
+    xa = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    return RecordBatch(xa, (rng.random(n) < 0.5).astype(float), rng.random(n) < 0.5)
+
+
+class TestTailTable:
+    """A 0/1 value_F column is written from _DUMP_TAILS, byte for byte as the reference.
+
+    With _DUMP_ROW unset the four-field rows cannot be formatted, so a batch
+    that matches the reference there took the tail table.
+    """
+
+    @pytest.fixture
+    def tails_only(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_DUMP_ROW", None)
+
+    # four rows: well under 10 ms
+    def test_all_four_pairs(self, tails_only):
+        text = dump_matching_reference(
+            RecordBatch([0.5, -0.5, 1e300, 5e-324], [0.0, 0.0, 1.0, 1.0], [False, True, False, True])
+        )
+        assert [line.split(",", 2)[2] for line in text.splitlines()[1:]] == [
+            "0,0", "0,1", "1,0", "1,1"]
+
+    # at most 3B+7 = 12,295 rows through both writers: about 0.2 s in all
+    @pytest.mark.parametrize("blocks, rows", [(1, -1), (1, 0), (1, 1), (3, 7)],
+                             ids=["B-1", "B", "B+1", "3B+7"])
+    def test_row_counts(self, tails_only, blocks, rows):
+        n = blocks * estimator.DUMP_BLOCK_ROWS + rows
+        text = dump_matching_reference(binary_batch(n))
+        assert text.count("\n") == n + 1
+
+    # seven records: well under 10 ms
+    def test_record_list(self, tails_only):
+        dump_matching_reference([MeasurementRecord(v, float(k % 4 > 1), k % 2 == 1)
+                                 for k, v in enumerate(EDGE_VALUES[:7])])
+
+    # 2B+3 rows each, the odd value in the last block: about 0.3 s in all
+    @pytest.mark.parametrize("odd", [-0.0, math.nan, np.nextafter(1.0, 2.0), 2.0],
+                             ids=["-0", "nan", "1+ulp", "2"])
+    def test_other_value_takes_four_fields(self, odd):
+        batch = binary_batch(2 * estimator.DUMP_BLOCK_ROWS + 3)
+        batch.value_F[-2] = odd
+        text = dump_matching_reference(batch)
+        assert text.splitlines()[-2].split(",")[2] == f"{odd:.17g}"
+
+
 def sum_bits(value) -> int:
     return int(np.array(value, dtype=np.float64).view(np.uint64))
 
@@ -680,3 +729,11 @@ class TestStreamedRun:
         estimator.dump_records(estimator.sample_records(theta30, 2000, start=3000), tail)
         assert head.getvalue() + tail.getvalue() == whole.getvalue()
         assert estimator.sample_records(theta30, 10, start=7)[2:5].start == 9
+
+    # three sample_ideal calls of at most 5,000 records and their dumps: about 0.05 s
+    def test_ideal_segment_dumps_concatenate(self, theta30):
+        whole, head, tail = io.StringIO(), io.StringIO(), io.StringIO()
+        estimator.dump_records(estimator.sample_ideal(theta30, 5000), whole)
+        estimator.dump_records(estimator.sample_ideal(theta30, 3000), head)
+        estimator.dump_records(estimator.sample_ideal(theta30, 2000, start=3000), tail)
+        assert head.getvalue() + tail.getvalue() == whole.getvalue()
