@@ -174,19 +174,19 @@ def _diagnostics_doc(sc: Scenario) -> dict:
     return doc
 
 
-def run_scenario(sc: Scenario, threads: int = 1, dump=None):
-    """Dispatch one scenario; returns (document, estimator.RunTotals or None).
+def run_scenario(sc: Scenario, threads: int = 1, dump=None) -> dict:
+    """Dispatch one scenario; returns its document.
 
     A sampling run is reduced chunk by chunk and never held whole; dump,
     a text handle, receives its records as CSV while they are drawn.
     """
     mode = sc.run.mode
     if mode == "closed-form":
-        return _report_doc(sc), None
+        return _report_doc(sc)
     if mode == "exact-moments":
-        return estimator.exact_moments(sc), None
+        return estimator.exact_moments(sc)
     if mode == "diagnostics":
-        return _diagnostics_doc(sc), None
+        return _diagnostics_doc(sc)
     if mode == "sample-pointer":
         sampler = estimator.sample_records
     elif mode == "sample-ideal":
@@ -194,8 +194,8 @@ def run_scenario(sc: Scenario, threads: int = 1, dump=None):
     else:
         raise ScenarioError(f"run.mode: unknown mode {mode!r}")
     totals = estimator.RunTotals(sc.run.samples, dump=dump)
-    records = sampler(sc, sc.run.samples, threads=threads, sink=totals)
-    return asdict(estimator.summarize(records, sc)), records
+    sampler(sc, sc.run.samples, threads=threads, sink=totals)
+    return asdict(estimator.summarize(totals, sc))
 
 
 def _doc_to_csv(doc: dict) -> str:
@@ -248,7 +248,7 @@ def sweep_csv(sc: Scenario, param: str, values, threads: int = 1, probes=None) -
         if probe.run.mode in ("closed-form", "diagnostics"):
             estimate, std_error = target, 0.0
         else:
-            doc, _ = run_scenario(probe, threads=threads)
+            doc = run_scenario(probe, threads=threads)
             estimate, std_error = doc["estimate"], doc["std_error"]
         cells = (value, estimate, std_error, re, im, abs(estimate - target))
         lines.append(param + "," + ",".join(_format_float(c) for c in cells))
@@ -333,7 +333,7 @@ def _cmd_run(args) -> int:
         return 2
 
     def render(dump):
-        doc, _ = run_scenario(sc, threads=args.threads, dump=dump)
+        doc = run_scenario(sc, threads=args.threads, dump=dump)
         return canonical_dumps(doc) if args.format == "json" else _doc_to_csv(doc)
 
     try:

@@ -19,7 +19,7 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -90,8 +90,8 @@ class RecordBatch(Sequence):
 
 
 @dataclass(frozen=True)
-class RunSummary:
-    """Post-selection bookkeeping and the weak-value estimate of one run."""
+class RunStatistics:
+    """The post-selection bookkeeping of one run, free of any scenario."""
 
     n_total: int
     n_selected: int
@@ -99,6 +99,12 @@ class RunSummary:
     mean_F: float
     mean_F_raw: float
     mean_selected_A: float
+
+
+@dataclass(frozen=True)
+class RunSummary(RunStatistics):
+    """Post-selection bookkeeping and the weak-value estimate of one run."""
+
     boost: float
     estimate: float
     std_error: float
@@ -473,15 +479,8 @@ def _readout_prefactor(sc: Scenario) -> float:
     return 1.0 / sc.ga_ta
 
 
-def summarize(records, sc: Scenario) -> RunSummary:
-    """Reduce records to the post-selected estimate and its bookkeeping.
-
-    records is a RunTotals a sampler has filled, or any records, which
-    are reduced through one here.  The product statistics (mean_all_AF,
-    boost) use the binarized X_F, the level at which the boost identity
-    is exact; mean_F_raw keeps the raw readout average for comparison
-    with the continuous mean.  Every mean is np.mean's: its sum over n.
-    """
+def _run_statistics(records, empty_message="no record passed post-selection out of {n_total}"):
+    """records' RunStatistics and selected value_A; empty_message if none is selected."""
     totals = records
     if not isinstance(totals, RunTotals):
         xa, xf, sel = _columns(records)
@@ -490,28 +489,39 @@ def summarize(records, sc: Scenario) -> RunSummary:
     n_total = len(totals)
     n_selected = int(np.count_nonzero(totals.selected))
     if n_selected == 0:
-        raise EmptyPostSelectionError(
-            f"no record passed post-selection out of {n_total}"
-        )
+        raise EmptyPostSelectionError(empty_message.format(n_total=n_total))
     selected_a = totals.selected_a()
-    mean_all_af = totals.sum_af.total / n_total
-    mean_selected_a = float(np.mean(selected_a))
+    return RunStatistics(
+        n_total=n_total,
+        n_selected=n_selected,
+        mean_all_AF=totals.sum_af.total / n_total,
+        mean_F=n_selected / n_total,
+        mean_F_raw=totals.sum_f.total / n_total,
+        mean_selected_A=float(np.mean(selected_a)),
+    ), selected_a
+
+
+def summarize(records, sc: Scenario) -> RunSummary:
+    """Reduce records to the post-selected estimate and its bookkeeping.
+
+    records is a RunTotals a sampler has filled, or any records, which
+    are reduced through one.  mean_all_AF and boost use the binarized X_F,
+    the level at which the boost identity is exact; mean_F_raw is the raw
+    readout average.  Every mean is np.mean's: its sum over n.  The
+    scenario adds only the readout prefactor, to estimate and std_error.
+    """
+    stats, selected_a = _run_statistics(records)
     prefactor = _readout_prefactor(sc)
-    if n_selected >= 2:
-        spread = float(np.std(selected_a, ddof=1)) / np.sqrt(n_selected)
+    if stats.n_selected >= 2:
+        spread = float(np.std(selected_a, ddof=1)) / np.sqrt(stats.n_selected)
         std_error = abs(prefactor) * spread
     else:
         std_error = float("nan")
-    boost = mean_selected_a / mean_all_af if mean_all_af != 0 else float("nan")
+    mean_a, mean_af = stats.mean_selected_A, stats.mean_all_AF
     return RunSummary(
-        n_total=n_total,
-        n_selected=n_selected,
-        mean_all_AF=mean_all_af,
-        mean_F=n_selected / n_total,
-        mean_F_raw=totals.sum_f.total / n_total,
-        mean_selected_A=mean_selected_a,
-        boost=boost,
-        estimate=prefactor * mean_selected_a,
+        **asdict(stats),
+        boost=mean_a / mean_af if mean_af != 0 else float("nan"),
+        estimate=prefactor * mean_a,
         std_error=std_error,
         seed=sc.run.seed,
         mode=sc.run.mode,
@@ -522,15 +532,12 @@ def summarize(records, sc: Scenario) -> RunSummary:
 def boost_identity_check(records) -> BoostIdentity:
     """<X_A X_F>^(p) * <X_F> against <X_A X_F>, binarized X_F.
 
-    Exact to rounding for any dataset: terms with X_F = 0 drop from the
-    unconditioned numerator, leaving the selected sum on both sides.
+    The two sides are summarize's mean_selected_A * mean_F and mean_all_AF
+    of the same records.  Exact to rounding for any dataset: terms with
+    X_F = 0 drop from the unconditioned numerator, leaving the selected sum.
     """
-    xa, _, sel = _columns(records)
-    if not np.any(sel):
-        raise EmptyPostSelectionError("boost identity needs at least one selected record")
-    binary = sel.astype(float)
-    lhs = float(np.mean(xa[sel]) * np.mean(binary))
-    rhs = float(np.mean(xa * binary))
+    stats, _ = _run_statistics(records, "boost identity needs at least one selected record")
+    lhs, rhs = stats.mean_selected_A * stats.mean_F, stats.mean_all_AF
     return BoostIdentity(lhs=lhs, rhs=rhs, passed=abs(lhs - rhs) <= BOOST_IDENTITY_ACCURACY)
 
 

@@ -2,8 +2,8 @@
 
 Kets are one-dimensional complex ndarrays and operators are square
 two-dimensional ones.  Composite indices are row-major with the rightmost
-tensor factor varying fastest; every module in this package shares that
-convention.
+tensor factor varying fastest, the order of np.kron and of schmidt's
+reshape; every module in this package shares that convention.
 """
 from __future__ import annotations
 
@@ -73,21 +73,6 @@ def projector(psi) -> np.ndarray:
     return np.outer(v, np.conj(v))
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two kets or two operators.
-
-    Index convention: row-major, the rightmost factor varies fastest, so
-    tensor(x, y)[i*dim(y) + j] = x[i] * y[j].
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise DimensionError(
-            f"tensor expects two kets or two operators, got ndim {a.ndim} and {b.ndim}"
-        )
-    return np.kron(a, b)
-
-
 def expectation(op, psi) -> complex:
     """<psi| op |psi> as a complex number."""
     m = operator(op)
@@ -109,36 +94,6 @@ def anticommutator(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionError(f"anticommutator needs equal shapes, got {a.shape} and {b.shape}")
     return a @ b + b @ a
-
-
-def partial_trace(rho, dims, keep: int) -> np.ndarray:
-    """Trace out every factor of a composite density matrix except one.
-
-    Parameters
-    ----------
-    rho : square matrix over the composite space, row-major factor order.
-    dims : sizes of the factors, so prod(dims) == dim(rho).
-    keep : index into dims of the factor to retain.
-
-    Returns
-    -------
-    The reduced matrix on factor ``keep``; the total trace is preserved.
-    """
-    rho = operator(rho)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise DimensionError(f"factor dims must be positive, got {dims}")
-    if int(np.prod(dims)) != rho.shape[0]:
-        raise DimensionError(f"prod({dims}) != operator dim {rho.shape[0]}")
-    if not 0 <= keep < len(dims):
-        raise DimensionError(f"keep={keep} not a valid factor index for {len(dims)} factors")
-    k = len(dims)
-    t = rho.reshape(dims + dims)
-    row = [chr(ord("a") + i) for i in range(k)]
-    col = list(row)
-    col[keep] = chr(ord("a") + k)
-    spec = "".join(row) + "".join(col) + "->" + row[keep] + col[keep]
-    return np.einsum(spec, t)
 
 
 class SpectralDecomposition(NamedTuple):

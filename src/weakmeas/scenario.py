@@ -175,6 +175,8 @@ def _parse_run(raw, gf_tf: float) -> RunSettings:
     samples = raw.pop("samples", 100000)
     if not _is_int(samples) or samples < 0:
         raise ScenarioError(f"run.samples: expected a nonnegative integer, got {samples!r}")
+    if samples == 0 and mode.startswith("sample-"):
+        raise ScenarioError(f"run.samples: mode {mode!r} needs at least one sample, got 0")
     seed = _check_seed(raw.pop("seed", 0), "run.seed")
     threshold = _finite_real(raw.pop("threshold", 0.5 * gf_tf), "run.threshold")
     if raw:

@@ -135,7 +135,7 @@ def test_correlation_first_order_with_quadratic_error():
 
 def test_pointer_monte_carlo_real_part():
     start = time.perf_counter()
-    doc, _ = cli.run_scenario(THETA30)
+    doc = cli.run_scenario(THETA30)
     elapsed = time.perf_counter() - start
     err = abs(doc["estimate"] - 2.0)
     check(
@@ -147,7 +147,7 @@ def test_pointer_monte_carlo_real_part():
 
 
 def test_momentum_monte_carlo_imaginary_part():
-    doc, _ = cli.run_scenario(IMAGINARY)
+    doc = cli.run_scenario(IMAGINARY)
     err = abs(doc["estimate"] - (-1.0))
     check(
         f"momentum sampling (n=10^6, seed {doc['seed']}) estimates "

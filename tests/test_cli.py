@@ -474,13 +474,26 @@ class TestExitCodes:
         assert not out_path.exists()
 
     @pytest.mark.parametrize("mode", ["sample-pointer", "sample-ideal"])
-    def test_zero_samples_is_runtime_error(self, tmp_path, raw, capsys, mode):
+    def test_zero_samples_is_validation_error(self, tmp_path, raw, capsys, mode):
         raw["run"].update(mode=mode, samples=0)
         argv = ["run", "--config", dump(tmp_path, raw), "--dump-records",
                 str(tmp_path / "rec.csv")]
-        assert cli.main(argv) == 3
-        assert "out of 0" in capsys.readouterr().err
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "run.samples" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "rec.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["sample-pointer", "sample-ideal"])
+    def test_zero_samples_sweep_is_validation_error(self, tmp_path, raw, capsys, mode):
+        raw["run"].update(mode=mode, samples=0)
+        out_path = tmp_path / "s.csv"
+        argv = ["sweep", "--config", dump(tmp_path, raw), "--param", "gA_tA",
+                "--values", "0.05", "--out", str(out_path)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "run.samples" in captured.err and "Traceback" not in captured.err
+        assert not out_path.exists()
 
     def test_dump_records_needs_sampling_mode(self, tmp_path, raw, capsys):
         raw["run"]["mode"] = "exact-moments"

@@ -361,6 +361,20 @@ class TestBoostIdentity:
         with pytest.raises(EmptyPostSelectionError):
             estimator.boost_identity_check(batch)
 
+    @pytest.mark.parametrize("name", ["qubit-theta30", "imaginary-sigma-x"])
+    @pytest.mark.parametrize("sampler", ["sample_records", "sample_ideal"])
+    def test_sides_are_summarize_statistics(self, sampler, name):
+        # three full chunks and a partial one, as a streamed run sees them
+        sc, n, seed = scenario.preset(name), 3 * estimator.CHUNK_SIZE + 3395, 2021
+        draw = getattr(estimator, sampler)
+        batch = draw(sc, n, seed=seed)
+        s = estimator.summarize(batch, sc)
+        chk = estimator.boost_identity_check(batch)
+        assert chk.lhs == s.mean_selected_A * s.mean_F
+        assert chk.rhs == s.mean_all_AF
+        totals = draw(sc, n, seed=seed, sink=estimator.RunTotals(n))
+        assert estimator.boost_identity_check(totals) == chk
+
 
 class TestExactMoments:
     def test_amplified_qubit_values(self, theta30):
@@ -531,12 +545,18 @@ def dump_matching_reference(records) -> str:
     got, want = io.StringIO(), io.StringIO()
     estimator.dump_records(records, got)
     reference_dump(records, want)
+    assert_same_text(got.getvalue(), want.getvalue())
+    return got.getvalue()
+
+
+def assert_same_text(got: str, want: str) -> None:
     # name the first differing line: pytest's diff of two long texts is slow
-    pairs = zip(got.getvalue().splitlines(True), want.getvalue().splitlines(True))
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    pairs = zip(got_lines, want_lines)
     first = next(((k, a, b) for k, (a, b) in enumerate(pairs) if a != b), None)
     assert first is None, f"line {first[0]}: {first[1]!r} != {first[2]!r}"
-    assert got.getvalue() == want.getvalue()
-    return got.getvalue()
+    assert len(got_lines) == len(want_lines), f"{len(got_lines)} != {len(want_lines)} lines"
+    assert got == want
 
 
 EDGE_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e17, 0.1, 1e-5,
@@ -717,7 +737,7 @@ class TestStreamedRun:
         raw = scenario.to_dict(imaginary)
         raw["run"].update(mode="sample-ideal", samples=10 * estimator.CHUNK_SIZE)
         sc = scenario.from_dict(raw)
-        doc, _ = cli.run_scenario(sc, threads=2)
+        doc = cli.run_scenario(sc, threads=2)
         assert doc["n_total"] == 10 * estimator.CHUNK_SIZE
         assert state["drawn"] == state["used"] == 10
         assert state["peak"] <= 4
@@ -727,7 +747,7 @@ class TestStreamedRun:
         estimator.dump_records(estimator.sample_records(theta30, 5000), whole)
         estimator.dump_records(estimator.sample_records(theta30, 3000), head)
         estimator.dump_records(estimator.sample_records(theta30, 2000, start=3000), tail)
-        assert head.getvalue() + tail.getvalue() == whole.getvalue()
+        assert_same_text(head.getvalue() + tail.getvalue(), whole.getvalue())
         assert estimator.sample_records(theta30, 10, start=7)[2:5].start == 9
 
     # three sample_ideal calls of at most 5,000 records and their dumps: about 0.05 s
@@ -736,4 +756,4 @@ class TestStreamedRun:
         estimator.dump_records(estimator.sample_ideal(theta30, 5000), whole)
         estimator.dump_records(estimator.sample_ideal(theta30, 3000), head)
         estimator.dump_records(estimator.sample_ideal(theta30, 2000, start=3000), tail)
-        assert head.getvalue() + tail.getvalue() == whole.getvalue()
+        assert_same_text(head.getvalue() + tail.getvalue(), whole.getvalue())

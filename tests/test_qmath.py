@@ -17,74 +17,6 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestTensor:
-    def test_basis_vectors(self):
-        out = qmath.tensor([1, 0], [0, 1])
-        np.testing.assert_array_equal(out, [0, 1, 0, 0])
-
-    def test_identity_product(self):
-        np.testing.assert_array_equal(qmath.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_z_pair_on_basis_vector(self):
-        # second basis vector of the 4-dim composite carries z-parity -1
-        op = qmath.tensor(qmath.sigma_z, qmath.sigma_z)
-        v = np.array([0, 1, 0, 0], dtype=complex)
-        np.testing.assert_allclose(op @ v, -v, atol=1e-15)
-
-    def test_rightmost_factor_fastest(self):
-        a = np.array([2.0, 3.0])
-        b = np.array([5.0, 7.0])
-        out = qmath.tensor(a, b)
-        np.testing.assert_allclose(out, [10, 14, 15, 21])
-
-    def test_associativity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a, b, c = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (2, 3, 4))
-            left = qmath.tensor(qmath.tensor(a, b), c)
-            right = qmath.tensor(a, qmath.tensor(b, c))
-            np.testing.assert_allclose(left, right, atol=1e-12)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(DimensionError):
-            qmath.tensor(np.eye(2), [1, 0])
-
-
-class TestPartialTrace:
-    def test_product_basis_state(self):
-        psi = qmath.tensor([1, 0], [0, 1])
-        rho = qmath.projector(psi)
-        np.testing.assert_allclose(
-            qmath.partial_trace(rho, [2, 2], keep=1), [[0, 0], [0, 1]], atol=1e-15
-        )
-
-    def test_bell_state_reduces_to_maximally_mixed(self):
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        out = qmath.partial_trace(qmath.projector(bell), [2, 2], keep=0)
-        np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-14)
-
-    def test_factorized_input(self):
-        rng = np.random.default_rng(5)
-        rho = random_hermitian(rng, 2)
-        sig = random_hermitian(rng, 3)
-        out = qmath.partial_trace(qmath.tensor(rho, sig), [2, 3], keep=0)
-        np.testing.assert_allclose(out, rho * np.trace(sig), atol=1e-12)
-
-    def test_trace_preserved_any_keep(self):
-        rng = np.random.default_rng(6)
-        rho = random_hermitian(rng, 12)
-        for dims, keep in ([2, 6], 0), ([2, 6], 1), ([2, 2, 3], 2), ([3, 4], 1):
-            red = qmath.partial_trace(rho, dims, keep=keep)
-            assert abs(np.trace(red) - np.trace(rho)) <= 1e-12 * max(1.0, abs(np.trace(rho)))
-            np.testing.assert_allclose(red, red.conj().T, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            qmath.partial_trace(np.eye(4), [2, 3], keep=0)
-        with pytest.raises(DimensionError):
-            qmath.partial_trace(np.eye(4), [2, 2], keep=2)
-
-
 class TestHermEig:
     def test_sigma_z_diagonal(self):
         dec = qmath.herm_eig(qmath.sigma_z)
@@ -142,7 +74,7 @@ class TestSchmidt:
         rng = np.random.default_rng(9)
         a = qmath.normalize(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         b = qmath.normalize(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        s = qmath.schmidt(qmath.tensor(a, b), 3, 5)
+        s = qmath.schmidt(np.kron(a, b), 3, 5)
         np.testing.assert_allclose(s[0], 1.0, atol=1e-12)
         assert np.all(s[1:] <= 1e-12)
 
@@ -155,7 +87,7 @@ class TestSchmidt:
             assert abs(np.sum(s**2) - 1.0) <= 1e-10
             u = random_unitary(rng, da)
             v = random_unitary(rng, db)
-            rotated = qmath.tensor(u, v) @ psi
+            rotated = np.kron(u, v) @ psi
             np.testing.assert_allclose(qmath.schmidt(rotated, da, db), s, atol=1e-10)
 
     def test_dimension_mismatch(self):

@@ -148,6 +148,16 @@ class TestValidation:
             with pytest.raises(ScenarioError, match="run"):
                 scenario.from_dict(raw)
 
+    def test_zero_samples_only_outside_sampling_modes(self):
+        for mode in scenario.MODES:
+            raw = base_dict()
+            raw["run"].update(mode=mode, samples=0)
+            if mode.startswith("sample-"):
+                with pytest.raises(ScenarioError, match="run.samples"):
+                    scenario.from_dict(raw)
+            else:
+                assert scenario.from_dict(raw).run.samples == 0
+
     def test_unknown_run_key_rejected(self):
         raw = base_dict()
         raw["run"]["walkers"] = 3

@@ -98,7 +98,7 @@ def test_cli_never_ends_in_a_traceback(tmp_path_factory, doc):
     config = work / "sc.json"
     config.write_text(json.dumps(doc))
     err = io.StringIO()
-    with mock.patch.object(cli, "run_scenario", return_value=({"ok": 1.0}, None)), \
+    with mock.patch.object(cli, "run_scenario", return_value={"ok": 1.0}), \
             mock.patch.dict(os.environ), contextlib.redirect_stderr(err):
         os.environ.pop(cli.SEED_ENV_VAR, None)
         code = cli.main(["run", "--config", str(config), "--out", str(work / "doc.json")])
