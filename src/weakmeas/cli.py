@@ -8,8 +8,10 @@ Commands:
 Exit codes: 0 success, 2 validation or usage error, 3 runtime error.
 Data goes to stdout or --out; --out and --dump-records are written to
 temp files that are renamed into place together once both are complete,
-so neither is ever partial or left without its partner.  A path that
-cannot be written ends in exit 3.  Diagnostics go to stderr.
+so neither is ever partial or left without its partner.  The two must
+name different files, also through a link or another spelling of the
+path, or the run exits 2.  A path that cannot be written ends in exit 3.
+Diagnostics go to stderr.
 JSON output is canonical: sorted keys, floats at 17 significant digits,
 so identical runs produce identical bytes.
 """
@@ -321,12 +323,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _same_path(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same resolved path, or one existing inode."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    with contextlib.suppress(OSError):
+        return os.path.samefile(a, b)
+    return False
+
+
 def _cmd_run(args) -> int:
     try:
         sc = _load(args)
         if args.dump_records and not sc.run.mode.startswith("sample-"):
             raise ScenarioError(
                 f"--dump-records needs a sampling mode, not {sc.run.mode!r}"
+            )
+        if args.dump_records and args.out and _same_path(args.out, args.dump_records):
+            raise ScenarioError(
+                f"--dump-records {args.dump_records!r} names the same file as --out"
             )
     except WeakmeasError as exc:
         print(f"error: {exc}", file=sys.stderr)

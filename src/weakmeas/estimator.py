@@ -581,15 +581,18 @@ def exact_moments(sc: Scenario) -> dict:
 
     Reports the unconditioned device means and correlation plus the
     post-selected conditional estimate for the configured readout;
-    std_error is identically zero.
+    std_error is identically zero.  The x_F positions ascend, so the
+    selected columns x_F > threshold are a suffix of the density, read
+    through a slice.
     """
     state = coupled_state(sc)
     mean_a = vonneumann.mean_pointer(state, 0)
     mean_f = vonneumann.mean_pointer(state, 1)
     corr = vonneumann.position_correlation(state)
     density, vals_a, step_a, vals_f, step_f = _readout_axis(sc, state)
-    keep = vals_f > sc.run.threshold
-    cell = density[:, keep] * (step_a * step_f)
+    # side="right" leaves a column at exactly the threshold out, as x_F > threshold does
+    first = int(np.searchsorted(vals_f, sc.run.threshold, side="right"))
+    cell = density[:, first:] * (step_a * step_f)
     mass = float(cell.sum())
     if mass <= 0:
         raise EmptyPostSelectionError("post-selection region carries no probability mass")

@@ -36,6 +36,9 @@ POINTER_KEYS = ("sigma", "n_points", "extent")
 # per system component) and the n_A x n_F density of sample-pointer and exact-moments (128 MB)
 MAX_POINTS = 2**20
 MAX_JOINT_CELLS = 2**24
+# records of one sampling run: estimator.RunTotals allocates a 1-byte selected flag per
+# record before the first draw, so the cap holds that column to 1 GiB
+MAX_SAMPLES = 2**30
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,9 @@ def _parse_run(raw, gf_tf: float) -> RunSettings:
         raise ScenarioError(f"run.samples: expected a nonnegative integer, got {samples!r}")
     if samples == 0 and mode.startswith("sample-"):
         raise ScenarioError(f"run.samples: mode {mode!r} needs at least one sample, got 0")
+    if samples > MAX_SAMPLES and mode.startswith("sample-"):
+        raise ScenarioError(f"run.samples: mode {mode!r} draws at most {MAX_SAMPLES}, "
+                            f"got {samples!r}")
     seed = _check_seed(raw.pop("seed", 0), "run.seed")
     threshold = _finite_real(raw.pop("threshold", 0.5 * gf_tf), "run.threshold")
     if raw:

@@ -175,6 +175,33 @@ class TestPairedOutputs:
         assert err.startswith(f"error: cannot write {bad}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("out, records", [("r.csv", "r.csv"), ("./r2.json", "r2.json"),
+                                              ("r.csv", "sub/../r.csv")])
+    def test_same_file_exits_two(self, tmp_path, raw, capsys, monkeypatch, out, records):
+        # else the dump would be renamed over the document, leaving only the records
+        raw["run"].update(mode="sample-ideal", samples=100)
+        config = dump(tmp_path, raw)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert cli.main(["run", "--config", config, "--out", out, "--dump-records", records]) == 2
+        captured = capsys.readouterr()
+        assert "--dump-records" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / out).exists()
+        assert sorted(os.listdir(tmp_path)) == ["sc.json", "sub"]
+
+    @pytest.mark.parametrize("link", [os.link, os.symlink])
+    def test_linked_file_exits_two(self, tmp_path, raw, capsys, link):
+        raw["run"].update(mode="sample-ideal", samples=100)
+        doc_path, alias = tmp_path / "doc.json", tmp_path / "alias.json"
+        doc_path.write_bytes(b"old document\n")
+        link(doc_path, alias)
+        argv = ["run", "--config", dump(tmp_path, raw), "--out", str(doc_path),
+                "--dump-records", str(alias)]
+        assert cli.main(argv) == 2
+        assert "--dump-records" in capsys.readouterr().err
+        assert doc_path.read_bytes() == b"old document\n"
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
     def test_output_mode_follows_umask(self, tmp_path, raw, umask, mode):
         raw["run"].update(mode="sample-ideal", samples=100)
@@ -490,6 +517,20 @@ class TestExitCodes:
         out_path = tmp_path / "s.csv"
         argv = ["sweep", "--config", dump(tmp_path, raw), "--param", "gA_tA",
                 "--values", "0.05", "--out", str(out_path)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "run.samples" in captured.err and "Traceback" not in captured.err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("mode", ["sample-pointer", "sample-ideal"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_oversized_samples_is_validation_error(self, tmp_path, raw, capsys, mode, command):
+        # RunTotals would ask for 2**70 flag bytes; the scenario fails at load instead
+        raw["run"].update(mode=mode, samples=2**70)
+        out_path = tmp_path / "out.csv"
+        argv = [command, "--config", dump(tmp_path, raw), "--out", str(out_path)]
+        if command == "sweep":
+            argv += ["--param", "gA_tA", "--values", "0.05"]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert "run.samples" in captured.err and "Traceback" not in captured.err

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakmeas import cli, estimator, scenario
+from weakmeas import cli, estimator, scenario, vonneumann
 from weakmeas.errors import EmptyPostSelectionError
 from weakmeas.estimator import MeasurementRecord, RecordBatch
 
@@ -395,6 +395,73 @@ class TestExactMoments:
         sc = replace(theta30, run=replace(theta30.run, threshold=10.0))
         with pytest.raises(EmptyPostSelectionError):
             estimator.exact_moments(sc)
+
+
+def masked_moments(sc):
+    """exact_moments with the selected columns copied through a boolean mask, the reference form."""
+    state = estimator.coupled_state(sc)
+    density, vals_a, step_a, vals_f, step_f = estimator._readout_axis(sc, state)
+    cell = density[:, vals_f > sc.run.threshold] * (step_a * step_f)
+    mass = float(cell.sum())
+    if mass <= 0:
+        raise EmptyPostSelectionError("post-selection region carries no probability mass")
+    corr = vonneumann.position_correlation(state)
+    selected_mean = float((cell.sum(axis=1) * vals_a).sum() / mass)
+    return {
+        "mean_A": vonneumann.mean_pointer(state, 0),
+        "mean_F": vonneumann.mean_pointer(state, 1),
+        "correlation_AF": corr,
+        "correlation_over_gA": corr / sc.ga_ta,
+        "selected_mass": mass,
+        "selected_mean": selected_mean,
+        "estimate": estimator._readout_prefactor(sc) * selected_mean,
+        "std_error": 0.0,
+    }
+
+
+# x_F steps by 1/256 from -2 on both presets: 0.5, 0.50390625 and 1.99609375 (the
+# last position) are grid points, 0.498046875 is half a cell below 0.5, 0.1234 lies
+# inside a cell and -3.0 is below the grid
+SLICE_THRESHOLDS = (0.5, 0.50390625, 0.498046875, 0.1234, -3.0, 1.99609375)
+
+
+class TestSelectedColumns:
+    """exact_moments' column slice against the boolean-mask copy it replaced."""
+
+    # 72 cases of two exact_moments each: expected about 1 s in all, measured 0.5 s
+    @pytest.mark.parametrize("name", ["qubit-theta30", "imaginary-sigma-x"])
+    @pytest.mark.parametrize("readout", ["position", "momentum"])
+    @pytest.mark.parametrize("threshold", SLICE_THRESHOLDS)
+    @pytest.mark.parametrize("ga_ta", [0.03, 0.05, 0.07])
+    def test_matches_mask(self, name, readout, threshold, ga_ta):
+        sc = scenario.preset(name)
+        sc = replace(sc, ga_ta=ga_ta, run=replace(sc.run, readout=readout, threshold=threshold))
+        if threshold >= sc.pointer_f.grid(sc.hbar).positions[-1]:
+            for moments in (estimator.exact_moments, masked_moments):
+                with pytest.raises(EmptyPostSelectionError):
+                    moments(sc)
+            return
+        got, want = estimator.exact_moments(sc), masked_moments(sc)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=0, abs=1e-14), key
+
+    @pytest.mark.parametrize("readout", ["position", "momentum"])
+    def test_grid_point_threshold_excludes_its_column(self, theta30, readout):
+        sc = replace(theta30, run=replace(theta30.run, readout=readout, threshold=0.5))
+        density, _, step_a, positions, step_f = estimator._readout_axis(
+            sc, estimator.coupled_state(sc))
+        column = float(density[:, np.flatnonzero(positions == 0.5)[0]].sum()) * step_a * step_f
+        assert column > 0
+
+        def moments(threshold):
+            return estimator.exact_moments(replace(sc, run=replace(sc.run, threshold=threshold)))
+
+        on = moments(0.5)
+        # the column at 0.5 is out: the same slice as a threshold just above it
+        assert on == moments(np.nextafter(0.5, np.inf))
+        below = moments(np.nextafter(0.5, -np.inf))
+        assert below["selected_mass"] - on["selected_mass"] == pytest.approx(column, rel=1e-9)
 
 
 def haar_ket(rng, dim):

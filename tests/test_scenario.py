@@ -1,4 +1,5 @@
 """Scenario codec and validation: field naming, guards, presets, defaults."""
+import itertools
 import json
 from pathlib import Path
 
@@ -157,6 +158,22 @@ class TestValidation:
                     scenario.from_dict(raw)
             else:
                 assert scenario.from_dict(raw).run.samples == 0
+
+    def test_samples_capped_only_in_sampling_modes(self):
+        # validation only: no scenario here draws or allocates its records
+        for samples, mode in itertools.product((2**70, scenario.MAX_SAMPLES + 1), scenario.MODES):
+            raw = base_dict()
+            raw["run"].update(mode=mode, samples=samples)
+            if mode.startswith("sample-"):
+                with pytest.raises(ScenarioError, match=f"run.samples: .*{samples}"):
+                    scenario.from_dict(raw)
+            else:
+                assert scenario.from_dict(raw).run.samples == samples
+
+    def test_samples_cap_is_inclusive(self):
+        raw = base_dict()
+        raw["run"].update(mode="sample-ideal", samples=scenario.MAX_SAMPLES)
+        assert scenario.from_dict(raw).run.samples == scenario.MAX_SAMPLES
 
     def test_unknown_run_key_rejected(self):
         raw = base_dict()
