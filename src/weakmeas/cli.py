@@ -218,6 +218,8 @@ def _apply_sweep_param(sc: Scenario, param: str, value: float) -> Scenario:
     elif param == "theta":
         if sc.system_dim != 2:
             raise ScenarioError("theta sweeps require a single-qubit scenario")
+        if not math.isfinite(value):
+            raise ScenarioError(f"theta: expected a finite angle in degrees, got {value!r}")
         t = math.radians(value)
         probe = replace(
             sc,

@@ -2,8 +2,9 @@
 
 Two samplers share one randomness contract.  sample_records draws joint
 (X_A, X_F) readouts from the exact grid density of the fully coupled
-two-device state; sample_ideal replaces the F device by a Born-rule
-projective selection and draws X_A from the conditional device density.
+two-device state; sample_ideal reads that state's branch mixture over
+|F><F| with device F's pointer replaced by the branch eigenvalue, a
+Born-rule projective selection, and draws X_A from the chosen branch.
 Record k is a pure function of (seed, k): uniforms come from a
 counter-based generator keyed by (seed, chunk), three words per record,
 so thread count and call order can never change the stream.
@@ -420,29 +421,21 @@ def sample_records(sc: Scenario, n: int, seed=None, threads: int = 1, start: int
 
 
 def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int = 0, sink=None):
-    """Born-rule cross-check: project the system onto F after the A coupling.
+    """Born-rule cross-check: the coupled state's branches with a sharp F pointer.
 
-    value_F is exactly 1 (projection succeeded) or 0; value_A is drawn
-    from the matching conditional device density.  Randomness contract
-    and sink as in sample_records.
+    In the branch mixture sum_k g_k(x_A) h_k(x_F) over |F><F|, h_k becomes
+    the eigenvalue: value_F is 1 (F selected, with the eigenvalue-1 branch's
+    mass) or 0, and value_A is drawn from that branch's g or the others' sum.
+    Randomness contract and sink as in sample_records.
     """
     if seed is None:
         seed = sc.run.seed
-    state = after_a_coupling(sc)
-    grid_a = state.pointers[0]
-    f_vec = qmath.normalize(qmath.ket(sc.f_vector))
-    amps = state.amplitudes
-    sel_amps = np.tensordot(np.conj(f_vec), amps, axes=(0, 0))
-    unsel_amps = amps - np.multiply.outer(f_vec, sel_amps)
-    p_select = float(np.sum(np.abs(sel_amps) ** 2) * grid_a.dx)
-
-    vals_a, step_a = _readout_values(sc, grid_a)
-    if sc.run.readout == "momentum":
-        sel_amps = pointer.momentum_amplitudes(sel_amps, grid_a)
-        unsel_amps = pointer.momentum_amplitudes(unsel_amps, grid_a)
-    sel_density = np.abs(sel_amps) ** 2
-    unsel_density = np.sum(np.abs(unsel_amps) ** 2, axis=0)
-    cdfs = [_cell_cdf(d) if d.sum() > 0 else None for d in (sel_density, unsel_density)]
+    state = coupled_state(sc)
+    vals_a, step_a = _readout_values(sc, state.pointers[0])
+    g, _ = vonneumann.branch_weights(state, sc.run.readout == "momentum")
+    # herm_eig sorts eigenvalues descending: branch 0 of |F><F| is the eigenvalue 1
+    p_select = float(np.sum(g[0]) * step_a)
+    cdfs = [_cell_cdf(d) if d.sum() > 0 else None for d in (g[0], g[1:].sum(axis=0))]
     tables = [cdf if cdf is None else (cdf, _cell_guide(cdf)) for cdf in cdfs]
     threshold = sc.run.threshold
 

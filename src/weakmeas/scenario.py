@@ -287,7 +287,7 @@ def load_scenario(path) -> Scenario:
             raw = json.load(handle)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return from_dict(raw)
 

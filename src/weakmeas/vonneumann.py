@@ -18,10 +18,10 @@ A state comes in one form per stage of the experiment:
   the K-term branch mixture sum_k g_k(x_1) h_k(x_2), the Born rule over
   the second observable's branches, and every reader sums over (g, h).
 
-The readers below (device_density, device_momentum_density, mean_pointer,
-position_correlation, total_norm) take the FactoredState.  The full device
-density matrix is never materialized; only its position (or momentum)
-diagonal and low moments are ever needed.
+The readers below (branch_weights, device_density, device_momentum_density,
+mean_pointer, position_correlation, total_norm) take the FactoredState.  The
+full device density matrix is never materialized; only its position (or
+momentum) diagonal and low moments are ever needed.
 """
 from __future__ import annotations
 
@@ -199,7 +199,7 @@ def attach_exact(s: JointState, grid: PointerGrid, c: CouplingSpec) -> FactoredS
 # sum_s conj(C_k) C_l vanish and the joint density is the branch mixture
 # P(x_1, x_2) = sum_k g_k(x_1) h_k(x_2), with g K x n_1 and h K x n_2.
 
-def _branch_weights(s: FactoredState, momentum: bool = False):
+def branch_weights(s: FactoredState, momentum: bool = False):
     """(g, h): g_k = sum_s |C_k|^2 over x_1 (or pi_1), h_k = |phi_k|^2 over x_2."""
     if len(s.pointers) != 2:  # a one-device JointState has no branches to read
         raise MissingAxisError(f"need the two-device state, got {len(s.pointers)} device axis")
@@ -211,7 +211,7 @@ def _marginal(s: FactoredState, axis: int) -> np.ndarray:
     """Position density of one device axis, the other summed (no measure)."""
     if not 0 <= axis < len(s.pointers):
         raise MissingAxisError(f"axis {axis} not present ({len(s.pointers)} device axes)")
-    g, h = _branch_weights(s)
+    g, h = branch_weights(s)
     return h.sum(axis=1) @ g if axis == 0 else g.sum(axis=1) @ h
 
 
@@ -225,7 +225,7 @@ def device_density(s: FactoredState) -> np.ndarray:
     This is the position diagonal of the devices' partial density matrix;
     sum P dx_1 dx_2 = 1.
     """
-    g, h = _branch_weights(s)
+    g, h = branch_weights(s)
     return g.T @ h
 
 
@@ -235,7 +235,7 @@ def device_momentum_density(s: FactoredState) -> np.ndarray:
     Rows follow pointer.momentum_values(first device) in ascending order;
     sum P dp_1 dx_2 = 1.  Only the d x n_1 blocks are transformed.
     """
-    g, h = _branch_weights(s, momentum=True)
+    g, h = branch_weights(s, momentum=True)
     return g.T @ h
 
 
@@ -247,7 +247,7 @@ def mean_pointer(s: FactoredState, axis: int = 0) -> float:
 
 def position_correlation(s: FactoredState) -> float:
     """Exact first moment <x_1 x_2> against the joint device density."""
-    g, h = _branch_weights(s)
+    g, h = branch_weights(s)
     x1 = s.pointers[0].positions
     x2 = s.pointers[1].positions
     return float((g @ x1) @ (h @ x2) * s.measure)

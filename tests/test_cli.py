@@ -582,6 +582,8 @@ class TestMalformedInputs:
         ("gA_tA", "0", "gA_tA"),
         ("gA_tA", "nan", "gA_tA"),
         ("sigma_F", "nan", "pointer_F.sigma"),
+        ("theta", "inf", "theta"),
+        ("theta", "-inf", "theta"),
     ])
     def test_bad_sweep_point(self, tmp_path, raw, capsys, param, bad, field):
         raw["run"]["mode"] = "exact-moments"
@@ -591,6 +593,15 @@ class TestMalformedInputs:
         assert cli.main(argv) == 2
         assert field in capsys.readouterr().err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "deep"])
+    def test_unparsable_config_exits_two(self, tmp_path, capsys, content):
+        # not UTF-8, and nested deeper than the JSON parser recurses
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
 
 # sha256 of the `run` document and of its --dump-records file at 50,000

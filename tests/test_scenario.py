@@ -282,10 +282,13 @@ class TestDefaults:
 
 
 class TestFileLoading:
-    def test_parse_error(self, tmp_path):
+    # not JSON, not UTF-8, and nested deeper than the JSON parser recurses
+    @pytest.mark.parametrize("content", [b"{ not json", b"\xff\xfe{}", b"[" * 100000],
+                             ids=["not-json", "not-utf8", "deep"])
+    def test_parse_error(self, tmp_path, content):
         bad = tmp_path / "bad.json"
-        bad.write_text("{ not json")
-        with pytest.raises(ScenarioError, match="not valid JSON"):
+        bad.write_bytes(content)
+        with pytest.raises(ScenarioError, match="bad.json is not valid JSON"):
             scenario.load_scenario(bad)
 
     def test_missing_file(self, tmp_path):
