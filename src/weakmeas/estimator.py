@@ -424,8 +424,10 @@ def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int =
     """Born-rule cross-check: the coupled state's branches with a sharp F pointer.
 
     In the branch mixture sum_k g_k(x_A) h_k(x_F) over |F><F|, h_k becomes
-    the eigenvalue: value_F is 1 (F selected, with the eigenvalue-1 branch's
-    mass) or 0, and value_A is drawn from that branch's g or the others' sum.
+    the sharp pointer position gF_tF * eigenvalue: value_F is gF_tF (F
+    selected, with the eigenvalue-1 branch's mass) or 0, and value_A is
+    drawn from that branch's g or the others' sum.  selected compares
+    value_F with run.threshold, as sample_records compares x_F.
     Randomness contract and sink as in sample_records.
     """
     if seed is None:
@@ -449,7 +451,7 @@ def sample_ideal(sc: Scenario, n: int, seed=None, threads: int = 1, start: int =
             if table is None:
                 raise EmptyPostSelectionError("conditional readout density has no mass")
             xa[mask] = vals_a[_draw_cells(*table, u[mask, 1])] + (u[mask, 2] - 0.5) * step_a
-        xf = np.where(chose_f, 1.0, 0.0)
+        xf = np.where(chose_f, sc.gf_tf, 0.0)
         return xa, xf, xf > threshold
 
     return _run_chunks(worker, start, n, threads, sink)

@@ -139,9 +139,13 @@ def _finite_real(value, where: str) -> float:
     return float(value)
 
 
-def _positive_real(value, where: str) -> float:
-    if not _is_real(value) or not math.isfinite(value) or value <= 0:
-        raise ScenarioError(f"{where}: expected a positive finite number, got {value!r}")
+def _grid_scale(value, where: str) -> float:
+    # sigma, extent and hbar: the pointer grids square them, and a square that
+    # is not a normal double ends in NaN densities or an OverflowError
+    if not (_is_real(value) and value > 0
+            and sys.float_info.min <= value * value <= sys.float_info.max):
+        raise ScenarioError(f"{where}: expected a positive number whose square is a normal "
+                            f"double, got {value!r}")
     return float(value)
 
 
@@ -149,13 +153,13 @@ def _parse_pointer(raw, where: str) -> PointerSettings:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object with sigma, n_points, extent")
     _reject_unknown(raw, POINTER_KEYS, where)
-    sigma = _positive_real(_require(raw, "sigma", where), f"{where}.sigma")
+    sigma = _grid_scale(_require(raw, "sigma", where), f"{where}.sigma")
     n_points = _require(raw, "n_points", where)
     if not _is_int(n_points) or n_points < 2 or n_points & (n_points - 1):
         raise ScenarioError(f"{where}.n_points: expected a power of two >= 2, got {n_points!r}")
     if n_points > MAX_POINTS:
         raise ScenarioError(f"{where}.n_points: at most {MAX_POINTS}, got {n_points!r}")
-    extent = _positive_real(_require(raw, "extent", where), f"{where}.extent")
+    extent = _grid_scale(_require(raw, "extent", where), f"{where}.extent")
     return PointerSettings(sigma=sigma, n_points=n_points, extent=extent)
 
 
@@ -216,12 +220,14 @@ def validate(sc: Scenario) -> Scenario:
     # reach of each coupling: |strength| times the largest |eigenvalue| of its
     # observable; the projector's eigenvalues are 0 and 1
     a_reach = abs(sc.ga_ta) * float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    _grid_scale(sc.hbar, "hbar")
     for pname, ps, reach in (
         ("pointer_A", sc.pointer_a, a_reach),
         ("pointer_F", sc.pointer_f, abs(sc.gf_tf)),
     ):
         # sweeps replace sigma after parsing, so a NaN can reach this point
-        _positive_real(ps.sigma, f"{pname}.sigma")
+        _grid_scale(ps.sigma, f"{pname}.sigma")
+        _grid_scale(ps.extent, f"{pname}.extent")
         if ps.extent < MIN_EXTENT_SIGMAS * ps.sigma:
             raise GridExtentError(
                 f"{pname}.extent: {ps.extent} is below {MIN_EXTENT_SIGMAS} sigma"
@@ -251,7 +257,7 @@ def from_dict(raw: dict) -> Scenario:
         f_vector=_parse_vector(_require(raw, "F_vector"), "F_vector"),
         ga_ta=ga_ta,
         gf_tf=gf_tf,
-        hbar=_positive_real(_require(raw, "hbar"), "hbar"),
+        hbar=_grid_scale(_require(raw, "hbar"), "hbar"),
         pointer_a=_parse_pointer(_require(raw, "pointer_A"), "pointer_A"),
         pointer_f=_parse_pointer(_require(raw, "pointer_F"), "pointer_F"),
         run=_parse_run(raw.get("run"), gf_tf),

@@ -11,12 +11,14 @@ A state comes in one form per stage of the experiment:
 - FactoredState holds the two-device state built by attach_exact, which
   couples a fresh second device to a JointState.  Because the coupling is
   a displacement, the result is exactly
-  Psi(s, x_1, x_2) = sum_k C_k(s, x_1) phi_k(x_2): C_k = u_k u_k^H psi is
-  eigenbranch k of the second observable and phi_k the fresh pointer
-  shifted by strength*lambda_k.  The d x n_1 x n_2 tensor is never formed:
-  the blocks are orthogonal in the system index, so the joint density is
-  the K-term branch mixture sum_k g_k(x_1) h_k(x_2), the Born rule over
-  the second observable's branches, and every reader sums over (g, h).
+  Psi(s, x_1, x_2) = sum_k v_k(s) a_k(x_1) phi_k(x_2): v_k = u_k is
+  eigenvector k of the second observable, a_k = u_k^H psi the first
+  device's amplitude in that branch and phi_k the fresh pointer shifted by
+  strength*lambda_k.  Neither the d x n_1 x n_2 tensor nor any K x d x n_1
+  product is formed: the v_k are orthonormal, so the joint density is the
+  K-term branch mixture sum_k g_k(x_1) h_k(x_2) with g_k = |a_k|^2, the
+  Born rule over the second observable's branches, and every reader sums
+  over (g, h).
 
 The readers below (branch_weights, device_density, device_momentum_density,
 mean_pointer, position_correlation, total_norm) take the FactoredState.  The
@@ -36,7 +38,7 @@ from . import qmath
 from .errors import DimensionError, MissingAxisError
 from .pointer import PointerGrid
 
-BRANCH_OVERLAP_ACCURACY = 1e-12  # FactoredState's cross/diagonal branch term bound
+BRANCH_OVERLAP_ACCURACY = 1e-12  # FactoredState's bound on max|V V^H - I|
 
 
 @dataclass(frozen=True)
@@ -105,39 +107,38 @@ class JointState(_DeviceAxes):
 
 @dataclass(frozen=True)
 class FactoredState(_DeviceAxes):
-    """Two-device state sum_k blocks[k](s, x_1) columns[k](x_2), never expanded.
+    """Two-device state sum_k vectors[k](s) amplitudes[k](x_1) columns[k](x_2), never expanded.
 
-    blocks has shape K x d x n_1 and columns K x n_2; K is the number of
-    eigenbranches of the observable coupled to the second device.  Blocks
-    that overlap in the system index are rejected.
+    vectors has shape K x d, amplitudes K x n_1 and columns K x n_2; K is the
+    number of eigenbranches of the observable coupled to the second device.
+    Vectors that are not orthonormal are rejected.
     """
 
     system_dim: int
     pointers: tuple
-    blocks: np.ndarray
+    vectors: np.ndarray
+    amplitudes: np.ndarray
     columns: np.ndarray
 
     def __post_init__(self):
         pts = _check_axes(self.pointers, 2)
-        blocks = np.array(self.blocks, dtype=complex)
-        columns = np.array(self.columns, dtype=complex)
-        k = blocks.shape[0] if blocks.ndim == 3 else -1
-        if blocks.shape != (k, self.system_dim, pts[0].n_points):
-            raise DimensionError(f"blocks shape {blocks.shape} does not fit K x d x n_1")
-        if columns.shape != (k, pts[1].n_points):
-            raise DimensionError(f"columns shape {columns.shape}, expected {(k, pts[1].n_points)}")
-        # the readers' branch mixture is exact only for blocks orthogonal in s
-        diagonal = float(np.max(_abs2(blocks).sum(axis=1), initial=0.0))
-        cross = max((float(np.max(np.abs(np.einsum("sx,sx->x", a.conj(), b))))
-                     for i, a in enumerate(blocks) for b in blocks[i + 1:]), default=0.0)
-        if cross > BRANCH_OVERLAP_ACCURACY * diagonal:
-            raise DimensionError(f"blocks overlap in the system index: cross term {cross:.3g} "
-                                 f"exceeds {BRANCH_OVERLAP_ACCURACY:g} x diagonal {diagonal:.3g}")
-        blocks.setflags(write=False)
-        columns.setflags(write=False)
+        sizes = {"vectors": self.system_dim, "amplitudes": pts[0].n_points,
+                 "columns": pts[1].n_points}
+        arrays = {name: np.array(getattr(self, name), dtype=complex) for name in sizes}
+        v = arrays["vectors"]
+        k = v.shape[0] if v.ndim == 2 else -1
+        for name, a in arrays.items():
+            if a.shape != (k, sizes[name]):
+                raise DimensionError(f"{name} shape {a.shape}, expected {(k, sizes[name])}")
+        # the readers' branch mixture is exact only for orthonormal vectors
+        defect = float(np.max(np.abs(v @ v.conj().T - np.eye(k)), initial=0.0))
+        if defect > BRANCH_OVERLAP_ACCURACY:
+            raise DimensionError(f"branch vectors overlap: Gram defect {defect:.3g} "
+                                 f"exceeds {BRANCH_OVERLAP_ACCURACY:g}")
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "pointers", pts)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "columns", columns)
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -184,27 +185,25 @@ def attach_exact(s: JointState, grid: PointerGrid, c: CouplingSpec) -> FactoredS
 
     The same physics as evolve_exact on the product of s with the fresh
     pointer: branch k of the observable's eigenbasis (same gauge, Fourier
-    phase and wraparound guard) carries the block u_k u_k^H psi and the
-    pointer translated by strength*lambda_k.
+    phase and wraparound guard) carries the vector u_k, the amplitude
+    u_k^H psi and the pointer translated by strength*lambda_k.
     """
     pts = _check_axes(s.pointers + (grid,), 2)
     u, phase = _eigenbranches(s.system_dim, grid, c, "device axis 1")
     columns = np.fft.ifft(np.fft.fft(grid.amplitudes) * phase)
-    coeffs = u.conj().T @ s.amplitudes
-    blocks = u.T[:, :, None] * coeffs[:, None, :]
-    return FactoredState(s.system_dim, pts, blocks, columns)
+    return FactoredState(s.system_dim, pts, u.T, u.conj().T @ s.amplitudes, columns)
 
 
-# Readers.  The blocks are orthogonal in s, so the cross terms
-# sum_s conj(C_k) C_l vanish and the joint density is the branch mixture
+# Readers.  The vectors are orthonormal, so the cross terms
+# sum_s conj(v_k) v_l vanish and the joint density is the branch mixture
 # P(x_1, x_2) = sum_k g_k(x_1) h_k(x_2), with g K x n_1 and h K x n_2.
 
 def branch_weights(s: FactoredState, momentum: bool = False):
-    """(g, h): g_k = sum_s |C_k|^2 over x_1 (or pi_1), h_k = |phi_k|^2 over x_2."""
+    """(g, h): g_k = |a_k|^2 over x_1 (or pi_1), h_k = |phi_k|^2 over x_2."""
     if len(s.pointers) != 2:  # a one-device JointState has no branches to read
         raise MissingAxisError(f"need the two-device state, got {len(s.pointers)} device axis")
-    blocks = _pointer.momentum_amplitudes(s.blocks, s.pointers[0]) if momentum else s.blocks
-    return _abs2(blocks).sum(axis=1), _abs2(s.columns)
+    amps = _pointer.momentum_amplitudes(s.amplitudes, s.pointers[0]) if momentum else s.amplitudes
+    return _abs2(amps), _abs2(s.columns)
 
 
 def _marginal(s: FactoredState, axis: int) -> np.ndarray:
@@ -233,7 +232,7 @@ def device_momentum_density(s: FactoredState) -> np.ndarray:
     """Joint density P(pi_1, x_2) with the first device axis Fourier-transformed.
 
     Rows follow pointer.momentum_values(first device) in ascending order;
-    sum P dp_1 dx_2 = 1.  Only the d x n_1 blocks are transformed.
+    sum P dp_1 dx_2 = 1.  Only the K x n_1 amplitudes are transformed.
     """
     g, h = branch_weights(s, momentum=True)
     return g.T @ h

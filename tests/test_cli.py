@@ -568,6 +568,10 @@ class TestMalformedInputs:
         "pointer_A.n_points": lambda raw: raw["pointer_A"].update({"n_points": True}),
         "run.samples": lambda raw: raw["run"].update({"samples": True}),
         "run.seed": lambda raw: raw["run"].update({"seed": True}),
+        # positive, but squared by the grids into a subnormal or zero
+        "pointer_F.sigma": lambda raw: raw["pointer_F"].update({"sigma": 1e-320}),
+        "pointer_A.sigma": lambda raw: raw["pointer_A"].update({"sigma": 1e-200}),
+        "hbar": lambda raw: raw.update({"hbar": 1e-320}),
     }
 
     @pytest.mark.parametrize("field", sorted(EDITS))
@@ -578,10 +582,20 @@ class TestMalformedInputs:
         assert code == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["exact-moments", "sample-pointer", "sample-ideal"])
+    def test_overflowing_grid_exits_two(self, tmp_path, raw, capsys, mode):
+        # sigma and extent pass every other check, but their squares overflow
+        raw["run"].update(mode=mode, samples=1000)
+        raw["pointer_A"].update(sigma=1e298, extent=1e300)
+        assert cli.main(["run", "--config", dump(tmp_path, raw)]) == 2
+        err = capsys.readouterr().err
+        assert "pointer_A.sigma" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("param, bad, field", [
         ("gA_tA", "0", "gA_tA"),
         ("gA_tA", "nan", "gA_tA"),
         ("sigma_F", "nan", "pointer_F.sigma"),
+        ("sigma_F", "1e-320", "pointer_F.sigma"),
         ("theta", "inf", "theta"),
         ("theta", "-inf", "theta"),
     ])

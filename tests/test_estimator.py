@@ -130,6 +130,21 @@ class TestIdealSampling:
         with pytest.raises(EmptyPostSelectionError):
             estimator.summarize(batch, sc)
 
+    @pytest.mark.parametrize("gf_tf, extent", [(2.0, 8.0), (-1.0, 4.0)])
+    def test_selected_fraction_matches_exact_mass(self, theta30, gf_tf, extent):
+        # value_F is the sharp pointer position gF_tF or 0, so the default
+        # threshold 0.5 gF_tF selects the branch device F's pointer selects
+        sc = scenario.validate(replace(
+            theta30, gf_tf=gf_tf, pointer_f=replace(theta30.pointer_f, extent=extent),
+            run=replace(theta30.run, threshold=0.5 * gf_tf),
+        ))
+        n = 100000
+        batch = estimator.sample_ideal(sc, n)
+        assert set(np.unique(batch.value_F)) == {0.0, gf_tf}
+        mass = estimator.exact_moments(sc)["selected_mass"]
+        se = math.sqrt(mass * (1 - mass) / n)
+        assert abs(float(np.mean(batch.selected)) - mass) <= 4 * se
+
     def test_deterministic(self, theta30):
         a = estimator.sample_ideal(theta30, 20000)
         b = estimator.sample_ideal(theta30, 20000, threads=3)
@@ -469,6 +484,38 @@ def haar_ket(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def qudit_scenario(dim, n_a, seed):
+    """A random d-level scenario: Hermitian A of spectral radius 1, Haar I and F.
+
+    Both grids hold the presets' sigma and extent, 20 sigma of device A a side.
+    """
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = m + m.conj().T
+    a /= np.max(np.abs(np.linalg.eigvalsh(a)))
+    return scenario.validate(scenario.Scenario(
+        system_dim=dim, a_matrix=a, i_vector=haar_ket(rng, dim), f_vector=haar_ket(rng, dim),
+        ga_ta=0.3, gf_tf=1.0, hbar=1.0,
+        pointer_a=scenario.PointerSettings(1.0, n_a, 40.0),
+        pointer_f=scenario.PointerSettings(0.05, 1024, 4.0),
+        run=scenario.RunSettings(mode="exact-moments", threshold=0.5),
+    ))
+
+
+def test_coupled_state_memory_linear_in_dim():
+    # the factored state holds K x (d + n_A + n_F) values; at d = 16 and
+    # n_A = 4096 a K x d x n_A product alone would take 16 MiB
+    sc = qudit_scenario(16, 4096, seed=16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        estimator.coupled_state(sc)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * sc.system_dim * sc.pointer_a.n_points * 16
+
+
 @st.composite
 def gaussian_scenarios(draw):
     """Qubit and qutrit scenarios whose grids hold the continuum Gaussians.
@@ -517,6 +564,14 @@ class TestGaussianMoments:
     @pytest.mark.parametrize("readout", ["position", "momentum"])
     def test_matches_exact_moments_on_presets(self, name, readout):
         sc = scenario.preset(name)
+        sc = replace(sc, run=replace(sc.run, readout=readout))
+        got, want = estimator.gaussian_moments(sc), estimator.exact_moments(sc)
+        for key in ORACLE_FIELDS:
+            assert got[key] == pytest.approx(want[key], abs=1e-10), key
+
+    @pytest.mark.parametrize("readout", ["position", "momentum"])
+    def test_matches_exact_moments_at_five_levels(self, readout):
+        sc = qudit_scenario(5, 512, seed=5)
         sc = replace(sc, run=replace(sc.run, readout=readout))
         got, want = estimator.gaussian_moments(sc), estimator.exact_moments(sc)
         for key in ORACLE_FIELDS:

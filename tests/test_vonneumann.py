@@ -381,7 +381,7 @@ class TestFactoredMatchesDense:
         _, factored, sc, second = pair
         w, amp_a, amp_f = analytic_branches(sc, second)
         want = np.einsum("sk,xk,ky->sxy", w, amp_a, amp_f)
-        got = np.einsum("ksx,ky->sxy", factored.blocks, factored.columns)
+        got = np.einsum("ks,kx,ky->sxy", factored.vectors, factored.amplitudes, factored.columns)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_system_cut(self, pair):
@@ -404,17 +404,21 @@ class TestFactoredMatchesDense:
         assert np.min(vonneumann.device_momentum_density(factored)) >= 0.0
 
     def test_never_holds_the_joint_tensor(self, pair):
+        # K x d, K x n_A and K x n_F: no K x d x n_A product, no joint tensor
         _, factored, _, _ = pair
-        dense_bytes = 16 * factored.system_dim * factored.blocks.shape[2] * factored.columns.shape[1]
-        assert not hasattr(factored, "amplitudes")
-        assert factored.blocks.nbytes + factored.columns.nbytes < dense_bytes / 64
+        held = (factored.vectors, factored.amplitudes, factored.columns)
+        k, d = factored.vectors.shape
+        n_a, n_f = factored.amplitudes.shape[1], factored.columns.shape[1]
+        assert not hasattr(factored, "blocks")
+        assert sum(a.nbytes for a in held) == 16 * k * (d + n_a + n_f)
+        assert sum(a.nbytes for a in held) < 16 * d * n_a * n_f / 64
 
 
 def test_readers_keep_cross_branch_terms():
-    # attach_exact's blocks are orthogonal in the system index, so the
-    # readers' branch mixture drops no cross-branch term; hand-built
-    # overlapping blocks would carry such terms, and FactoredState rejects
-    # them with the measured cross term in its message
+    # attach_exact's branch vectors are orthonormal, so the readers' branch
+    # mixture drops no cross-branch term; hand-built overlapping vectors
+    # would carry such terms, and FactoredState rejects them with the
+    # measured Gram defect max|V V^H - I| in its message
     rng = np.random.default_rng(37)
     grids = (a_pointer(), f_pointer())
     # (shift, momentum kick) per branch on each device; the kicks make the
@@ -424,19 +428,14 @@ def test_readers_keep_cross_branch_terms():
     def profile(grid, shift, kick):
         return pointer.shift(grid, shift).amplitudes * np.exp(1j * kick * grid.positions)
 
-    blocks = np.stack([
-        np.multiply.outer(rng.normal(size=2) + 1j * rng.normal(size=2), profile(grids[0], *a))
-        for a, _ in branches
-    ])
+    vectors = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    amplitudes = np.stack([profile(grids[0], *a) for a, _ in branches])
     columns = np.stack([profile(grids[1], *f) for _, f in branches])
-    cross = max(
-        np.max(np.abs(np.sum(blocks[k].conj() * blocks[l], axis=0)))
-        for k in range(3) for l in range(3) if k != l
-    )
-    assert cross > 0.01
+    defect = np.max(np.abs(vectors @ vectors.conj().T - np.eye(3)))
+    assert defect > 0.01
     with pytest.raises(DimensionError, match="overlap") as info:
-        vonneumann.FactoredState(2, grids, blocks, columns)
-    assert f"{cross:.3g}" in str(info.value)
+        vonneumann.FactoredState(2, grids, vectors, amplitudes, columns)
+    assert f"Gram defect {defect:.3g}" in str(info.value)
 
 
 class TestAttachExact:
@@ -465,5 +464,12 @@ class TestAttachExact:
         state = vonneumann.attach_exact(
             s, f_pointer(), vonneumann.CouplingSpec(qmath.projector(THETA_F), G_F)
         )
-        with pytest.raises(DimensionError):
-            vonneumann.FactoredState(2, state.pointers, state.blocks, state.columns[:1])
+        fields = (state.vectors, state.amplitudes, state.columns)
+        for k in range(3):
+            # one branch short, or a system or device axis cut in half
+            for bad in (fields[k][:1], fields[k][:, : fields[k].shape[1] // 2]):
+                args = fields[:k] + (bad,) + fields[k + 1:]
+                with pytest.raises(DimensionError, match="shape"):
+                    vonneumann.FactoredState(2, state.pointers, *args)
+        with pytest.raises(DimensionError, match="vectors shape"):
+            vonneumann.FactoredState(2, state.pointers, state.vectors[None], *fields[1:])
